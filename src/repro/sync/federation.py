@@ -805,8 +805,10 @@ class ShardedSyncService:
 
         Clients that have not yet published an entity query from the
         origin — matching what the shard's own tick assumes for a
-        subscriber without a world entity.  Positions are rows of the
-        world's SoA position block, not ``state.pose`` attribute chains.
+        subscriber without a world entity.  Positions are read off the
+        world's SoA position block and copied at send time: the digest
+        rides a packet, and the world rewrites (and, after a removal,
+        reuses) those rows before the packet is delivered.
         """
         world = self.shards[site].world
         digest: Dict[str, np.ndarray] = {}
@@ -815,7 +817,8 @@ class ShardedSyncService:
                 continue
             slot = world.slot_of(user_id)
             digest[user_id] = (
-                world.positions_arr[slot] if slot is not None else _ORIGIN
+                world.positions_arr[slot].copy() if slot is not None
+                else _ORIGIN
             )
         return digest
 

@@ -232,6 +232,41 @@ def test_ingest_local_federates_server_side_entities():
         service.ingest_local("nowhere", None)
 
 
+def _pose_state(entity_id, position, seq):
+    from repro.avatar.state import AvatarState
+
+    return AvatarState(entity_id, 0.0,
+                       Pose(position=np.asarray(position, dtype=float)),
+                       seq=seq)
+
+
+def test_delivered_digest_holds_send_time_positions():
+    """A digest is a snapshot taken at send time, not a view of the
+    sending world: moves, removals and slot reuse between send and
+    delivery must not leak into what the other shard receives."""
+    sim = Simulator(seed=11)
+    service, _clients = _two_shard_service(sim)
+    world = service.shards["s0"].world
+    world.apply(_pose_state("u00", [1.0, 2.0, 1.2], seq=0))
+    world.apply(_pose_state("u02", [3.0, 4.0, 1.2], seq=0))
+    sent = {"u00": np.array([1.0, 2.0, 1.2]), "u02": np.array([3.0, 4.0, 1.2])}
+
+    delta = service.relays[("s0", "s1")].fire()
+    assert delta is not None and sorted(delta.subscribers) == ["u00", "u02"]
+    # In flight: u00 moves, u02 leaves and a newcomer takes its slot.
+    world.apply(_pose_state("u00", [9.0, 9.0, 1.2], seq=1))
+    freed = world.slot_of("u02")
+    world.remove("u02")
+    world.apply(_pose_state("npc", [-14.0, 0.0, 1.2], seq=0))
+    assert world.slot_of("npc") == freed
+    sim.run(until=0.1)
+
+    delivered = service.relays[("s1", "s0")].remote_subjects
+    assert sorted(delivered) == sorted(sent)
+    for user, position in sent.items():
+        np.testing.assert_array_equal(delivered[user], position)
+
+
 def test_rebalance_excludes_sites_and_moves_clients():
     duration = 6.0
     population = sample_worldwide(8, np.random.default_rng(3))
