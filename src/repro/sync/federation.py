@@ -128,11 +128,12 @@ class ShardDelta:
 class ShardRelay:
     """The directed federation pipe from one shard to another.
 
-    Every firing recomputes which source-homed entities any destination
+    Every firing determines which source-homed entities any destination
     subscriber cares about (one batch interest query against the latest
-    digest received from the other side), delta-encodes the answer
-    against what this relay last forwarded, and ships the result plus
-    the source's own subscriber digest over the inter-shard link.
+    digest received from the other side, reused while neither the local
+    entities nor the digest changed), delta-encodes the answer against
+    what this relay last forwarded, and ships the result plus the
+    source's own subscriber digest over the inter-shard link.
     """
 
     def __init__(
@@ -165,6 +166,9 @@ class ShardRelay:
         #: Set when either endpoint is decommissioned; the relay process
         #: exits on its next wake and in-flight fires become no-ops.
         self.stopped = False
+        #: ``(ids, slots, points, subject_points, relevant slots)`` of the
+        #: last batch interest computation, reused while inputs repeat.
+        self._relevant: Optional[tuple] = None
 
     def _encode_scalar(self, src) -> tuple:
         """Scalar relay round: id-set interest + per-entity delta encode."""
@@ -187,25 +191,31 @@ class ShardRelay:
         vectorized interest core directly; the union of every remote
         subject's CSR row is delta-encoded in one
         :meth:`~repro.sync.delta.BatchDeltaEncoder.encode_batch` call
-        with this relay's destination as the single subscriber row."""
+        with this relay's destination as the single subscriber row.
+
+        The relevant-slot set is a pure function of the local
+        ``(ids, slots, points)`` and the stacked remote-subject points,
+        so a fire whose inputs equal the previous computation's reuses
+        its answer: shard worlds move on their tick, and a relay may
+        fire several times per tick.  The delta encode still runs every
+        fire, which keeps the keyframe cadence per encode call."""
         world = src.world
-        ids, slots, points = self.service.local_soa(self.src_site)
+        ids, slots, points, rows = self.service.local_soa(self.src_site)
         if self.remote_subjects and len(slots):
-            subject_points = np.stack([
-                np.asarray(p, dtype=float)
-                for p in self.remote_subjects.values()
-            ])
-            no_self = np.full(len(subject_points), -1, dtype=np.int64)
-            always_rows = np.flatnonzero(np.fromiter(
-                (entity_id in self.interest.config.always_relevant
-                 for entity_id in ids), dtype=bool, count=len(ids)))
-            ranks = np.empty(len(ids), dtype=np.int64)
-            ranks[np.argsort(np.asarray(ids, dtype=object))] = np.arange(
-                len(ids), dtype=np.int64)
-            offsets, flat = self.interest.relevant_indices_batch(
-                points, subject_points, no_self, always_rows, ranks)
-            rel_slots = slots[np.unique(flat)] if len(flat) else \
-                np.empty(0, dtype=np.int64)
+            subject_points = np.array(
+                list(self.remote_subjects.values()), dtype=float)
+            cached = self._relevant
+            if cached is not None \
+                    and np.array_equal(cached[2], points) \
+                    and np.array_equal(cached[3], subject_points) \
+                    and np.array_equal(cached[1], slots) \
+                    and cached[0] == ids:
+                rel_slots = cached[4]
+            else:
+                rel_slots = self._relevant_slots(
+                    world, ids, slots, points, rows, subject_points)
+                self._relevant = (ids, slots, points, subject_points,
+                                  rel_slots)
         else:
             rel_slots = np.empty(0, dtype=np.int64)
         send_mask, full_flags, removed_lists = self.encoder.encode_batch(
@@ -215,6 +225,24 @@ class ShardRelay:
         states = [world.state_at(s).copy() for s in sent_slots.tolist()]
         states_bytes = int(world.wire_sizes[sent_slots].sum())
         return states, removed_lists[0], bool(full_flags[0]), states_bytes
+
+    def _relevant_slots(self, world, ids, slots, points, rows,
+                        subject_points) -> np.ndarray:
+        """Slots of the local entities relevant to any remote subject.
+
+        Id ranks come from the world's cached lexicographic ranks
+        restricted to the local ``rows``: the restriction keeps their
+        relative order, which is all the distance tie-break reads."""
+        no_self = np.full(len(subject_points), -1, dtype=np.int64)
+        always_rows = np.flatnonzero(np.fromiter(
+            (entity_id in self.interest.config.always_relevant
+             for entity_id in ids), dtype=bool, count=len(ids)))
+        ranks = world.lexicographic_ranks()[rows]
+        _offsets, flat = self.interest.relevant_indices_batch(
+            points, subject_points, no_self, always_rows, ranks)
+        if not len(flat):
+            return np.empty(0, dtype=np.int64)
+        return slots[np.unique(flat)]
 
     def fire(self) -> Optional[ShardDelta]:
         """One relay round; returns the delta sent (None when idle)."""
@@ -771,8 +799,10 @@ class ShardedSyncService:
     # -- federation ------------------------------------------------------------
 
     def local_soa(self, site: str) -> tuple:
-        """``(ids, slots, points)`` of the entities authoritative on
-        ``site``, straight off the shard world's SoA arrays.
+        """``(ids, slots, points, rows)`` of the entities authoritative on
+        ``site``, straight off the shard world's SoA arrays; ``rows`` are
+        their rows in the world's :meth:`~repro.sync.delta.WorldState.compact`
+        order (what its cached per-row arrays index).
 
         The world's ``owners`` array screens out relay ghosts (tagged
         with their home shard's code) in one vectorized compare; only the
@@ -789,12 +819,12 @@ class ShardedSyncService:
             if entity_home.get(ids[row]) == site
         ]
         rows = np.asarray(keep, dtype=np.int64)
-        return [ids[row] for row in keep], slots[rows], points[rows]
+        return [ids[row] for row in keep], slots[rows], points[rows], rows
 
     def local_entities(self, site: str) -> Dict[str, Any]:
         """Entities authoritative on ``site`` (ghost copies excluded)."""
         world = self.shards[site].world
-        ids, slots, _points = self.local_soa(site)
+        ids, slots, _points, _rows = self.local_soa(site)
         return {
             entity_id: world.state_at(slot)
             for entity_id, slot in zip(ids, slots.tolist())

@@ -16,9 +16,9 @@ from repro.net.faults import FaultInjector, ServerCrashSchedule
 from repro.sensing.pose import Pose
 from repro.simkit import Simulator
 from repro.sync.federation import ShardedSyncService, ShardHandoffController
-from repro.sync.interest import InterestConfig
+from repro.sync.interest import InterestConfig, InterestManager
 from repro.workload.population import sample_worldwide
-from repro.workload.traces import StationaryMotion
+from repro.workload.traces import StationaryMotion, WalkingMotion
 
 pytestmark = pytest.mark.federation
 
@@ -339,3 +339,165 @@ def test_traced_update_gets_a_shard_relay_span():
     wan_traces = {span.context.trace_id for span in sim.obs.spans("wan")}
     assert all(span.context.trace_id in wan_traces for span in relay_spans)
     assert sim.obs.spans("tick_wait")  # remote tick attribution continued
+
+
+# -- relay interest reuse ------------------------------------------------------
+
+
+def _reference_relevant_slots(config, ids, slots, points, subjects):
+    """A fresh batch interest query on one fire's inputs, with id ranks
+    from a plain string sort."""
+    if subjects is None or not len(slots):
+        return set()
+    ranks = np.empty(len(ids), dtype=np.int64)
+    ranks[np.argsort(np.asarray(ids, dtype=object))] = np.arange(len(ids))
+    always = np.asarray([row for row, entity_id in enumerate(ids)
+                         if entity_id in config.always_relevant],
+                        dtype=np.int64)
+    _offsets, flat = InterestManager(config).relevant_indices_batch(
+        points, subjects, np.full(len(subjects), -1, dtype=np.int64),
+        always, ranks)
+    return set(slots[np.unique(flat)].tolist())
+
+
+def _record_relay_fires(service):
+    """Wrap every relay's interest query and delta encode; each encode
+    logs that fire's inputs, the slots it encoded and how many interest
+    queries the fire made."""
+    fires = []
+    for key, relay in sorted(service.relays.items()):
+        calls = []
+
+        def counting(*args, _inner=relay.interest.relevant_indices_batch,
+                     _calls=calls):
+            _calls.append(1)
+            return _inner(*args)
+
+        def observing(world, subscribers, offsets, flat,
+                      _inner=relay.encoder.encode_batch, _relay=relay,
+                      _key=key, _calls=calls):
+            ids, slots, points, _rows = service.local_soa(_relay.src_site)
+            subjects = None
+            if _relay.remote_subjects:
+                subjects = np.stack(list(_relay.remote_subjects.values()))
+            fires.append({
+                "relay": _key, "ids": list(ids), "slots": slots.copy(),
+                "points": points.copy(), "subjects": subjects,
+                "encoded": set(np.asarray(flat).tolist()),
+                "calls": len(_calls),
+            })
+            _calls.clear()
+            return _inner(world, subscribers, offsets, flat)
+
+        relay.interest.relevant_indices_batch = counting
+        relay.encoder.encode_batch = observing
+    return fires
+
+
+def _run_relay_reuse_world(seed):
+    """Three shards, walkers among seated users on a tie-rich grid, one
+    voluntary move and one shard crash with failover."""
+    duration = 3.0
+    population = sample_worldwide(9, np.random.default_rng(seed))
+    sim = Simulator(seed=seed)
+    plan = plan_regions(population, k=3)
+    config = InterestConfig(radius_m=3.0, max_entities=2)
+    service = ShardedSyncService(sim, plan, population, relay_rate_hz=100.0,
+                                 interest_config=config)
+    fires = _record_relay_fires(service)
+    users = sorted(population.users, key=lambda u: u.user_id)
+    for index, user in enumerate(users):
+        federated = service.add_client(user.user_id)
+        start = np.array([float(index % 3), float(index // 3), 1.2])
+        if index % 3 == 0:
+            motion = WalkingMotion([start, start + [2.0, 0.0, 0.0]],
+                                   speed_m_per_s=1.0)
+        else:
+            motion = StationaryMotion(Pose(position=start))
+        federated.client.local_pose = motion
+        federated.client.run(duration)
+    service.start(duration)
+    handoff = ShardHandoffController(sim, service, detection_timeout=0.3,
+                                     check_period=0.05)
+    handoff.run(duration)
+    mover = users[1].user_id
+    target = next(site for site in plan.sites
+                  if site != service.home[mover])
+    sim.call_at(0.8, lambda: service.move_user(mover, target))
+    victim = next(site for site in plan.sites
+                  if site not in (service.home[mover], target))
+    injector = FaultInjector(sim)
+    injector.server_crash(service.shards[victim],
+                          ServerCrashSchedule([(1.5, None)]))
+    sim.run()
+    return config, fires, handoff
+
+
+def test_relay_reuses_interest_only_while_inputs_repeat():
+    """Every fire encodes exactly what a fresh interest query on its own
+    inputs returns; a fire whose inputs equal those of the relay's last
+    query makes no query, and a change to any one input makes one."""
+    config, fires, handoff = _run_relay_reuse_world(seed=21)
+    assert handoff.events, "the crash did not fail anyone over"
+    last = {}
+    reused = 0
+    changes = set()
+    for fire in fires:
+        expected = _reference_relevant_slots(
+            config, fire["ids"], fire["slots"], fire["points"],
+            fire["subjects"])
+        assert fire["encoded"] == expected
+        if fire["subjects"] is None or not len(fire["slots"]):
+            assert fire["calls"] == 0
+            continue
+        previous = last.get(fire["relay"])
+        differs = None if previous is None else {
+            "membership": previous["ids"] != fire["ids"]
+            or not np.array_equal(previous["slots"], fire["slots"]),
+            "local": not np.array_equal(previous["points"], fire["points"]),
+            "digest": not np.array_equal(previous["subjects"],
+                                         fire["subjects"]),
+        }
+        if differs is not None and not any(differs.values()):
+            assert fire["calls"] == 0
+            reused += 1
+            continue
+        assert fire["calls"] == 1
+        last[fire["relay"]] = fire
+        if differs is not None:
+            changed = [name for name, flag in differs.items() if flag]
+            if changed == ["local"] or changed == ["digest"]:
+                changes.add(changed[0])
+            elif "membership" in changed and not differs["digest"]:
+                changes.add("membership")
+    assert reused > len(fires) // 4
+    assert changes == {"membership", "local", "digest"}
+
+
+def test_relay_recomputes_when_membership_alone_changes():
+    """Replacing an entity in place (same slot, same position) changes
+    only the ids, and with them the distance tie-break: the relay must
+    not reuse the answer it computed for the old membership."""
+    sim = Simulator(seed=12)
+    plan, _users = _virtual_plan(2, 2)
+    service = ShardedSyncService(
+        sim, plan, interest_config=InterestConfig(radius_m=5.0,
+                                                  max_entities=1))
+    world = service.shards["s0"].world
+    relay = service.relays[("s0", "s1")]
+    relay.remote_subjects = {"u01": np.zeros(3)}
+    for entity_id, x in (("b", 1.0), ("c", -1.0)):
+        service.entity_home[entity_id] = "s0"
+        world.apply(_pose_state(entity_id, [x, 0.0, 0.0], seq=0))
+    # b and c tie at 1 m; the id tie-break picks b.
+    assert [s.participant_id for s in relay.fire().states] == ["b"]
+    assert relay.fire() is None  # nothing changed, nothing to send
+
+    freed = world.slot_of("b")
+    world.remove("b")
+    service.entity_home["z"] = "s0"
+    world.apply(_pose_state("z", [1.0, 0.0, 0.0], seq=0))
+    assert world.slot_of("z") == freed
+    delta = relay.fire()
+    assert [s.participant_id for s in delta.states] == ["c"]
+    assert delta.removed == ["b"]
