@@ -219,9 +219,16 @@ class InterestManager:
             # gather once per distinct cell, not once per subject.  Pack
             # (cx, cy, cz) into one int64 so the distinct-cell pass is a
             # 1-D sort instead of the much slower row-wise unique; 21
-            # bits per biased coordinate covers |coordinate| < 2^20.
+            # bits per biased coordinate cover cells in [-2^20, 2^20).
+            # A cell outside would carry into its neighbour field and
+            # alias another cell, so it is an error, not a wrong answer.
             cells = np.floor(subject_points / grid.cell_size).astype(np.int64)
             bias = np.int64(1 << 20)
+            if cells.min() < -bias or cells.max() >= bias:
+                raise ValueError(
+                    "subject position outside the interest grid's range: "
+                    "cell coordinates must lie in [-2^20, 2^20) cells of "
+                    f"{grid.cell_size} m")
             packed = (((cells[:, 0] + bias) << np.int64(42))
                       | ((cells[:, 1] + bias) << np.int64(21))
                       | (cells[:, 2] + bias))

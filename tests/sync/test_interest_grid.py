@@ -94,6 +94,30 @@ def test_relevant_batch_tracks_pairs_scanned():
     assert 0 < manager.last_pairs_scanned < n * n
 
 
+def test_out_of_range_subject_cell_raises_instead_of_aliasing():
+    """Subject cells are packed into 21-bit fields per axis.  A cell
+    coordinate of 2^20 carries into the next field and would share a
+    packed cell with an unrelated subject, which then silently loses the
+    neighbour :func:`naive_relevant` finds."""
+    edge = float(1 << 20)
+    config = InterestConfig(radius_m=1.0, max_entities=8)
+    positions = {
+        "far": np.array([0.5, 0.5, edge + 0.5]),
+        "low": np.array([0.5, 1.5, -edge + 0.5]),
+        "mate": np.array([0.5, 1.5, -edge + 0.9]),
+    }
+    manager = InterestManager(config)
+    with pytest.raises(ValueError, match="range"):
+        manager.relevant_batch(positions)
+    # The lowest packable cell is still accepted, and still exact.
+    inside = {k: v for k, v in positions.items() if k != "far"}
+    got = manager.relevant_batch(inside)
+    for subject_id, position in inside.items():
+        assert got[subject_id] == naive_relevant(
+            config, subject_id, position, inside)
+    assert got["low"] == {"mate"}
+
+
 def test_broadcast_batch_matches_single_subject():
     baseline = BroadcastInterest()
     positions = {f"p{i}": np.zeros(3) for i in range(6)}
