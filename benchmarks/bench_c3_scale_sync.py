@@ -10,12 +10,12 @@ Expected shape: broadcast bandwidth grows linearly with N per client
 (quadratic in total) while interest-managed bandwidth flattens at the
 nearest-k cap; the server's tick saturates without filtering first.
 
-A second sweep wall-clocks the data plane itself: the vectorized (SoA +
-batched delta encode) tick vs the scalar per-subscriber oracle across
-N ∈ {100, 1k, 5k, 10k, 20k}.  That one measures *real* milliseconds per
-tick (``time.perf_counter`` around ``SyncServer.tick_once``), not the
-modeled sim-clock cost, and is what the committed perf budget
-(``benchmarks/perf_budget.py``) tracks in CI.
+A second sweep wall-clocks the data plane itself (SoA world, batch
+interest query, batched delta encode) across N ∈ {100, 1k, 5k, 10k, 20k}.
+That one measures *real* milliseconds per tick (``time.perf_counter``
+around ``SyncServer.tick_once``), not the modeled sim-clock cost, and is
+what the committed perf budget (``benchmarks/perf_budget.py``) tracks in
+CI.
 
 Standalone usage (the grid-vs-naive *correctness* check lives in
 ``tests/sync/test_interest_grid.py`` and runs in tier-1; this file is the
@@ -52,12 +52,9 @@ DURATION = 2.0
 QUICK_SIZES = (10, 50)
 QUICK_DURATION = 0.5
 
-# -- wall-clock N-sweep (vectorized vs scalar data plane) ---------------------
+# -- wall-clock N-sweep of the data plane ------------------------------------
 
 SCALE_SIZES = (100, 1000, 5000, 10000, 20000)
-#: The scalar oracle is O(subscribers x relevant) Python; past this it
-#: only proves the sweep can outwait it.
-SCALE_SCALAR_LIMIT = 5000
 SCALE_TICKS = 4
 #: Fraction of entities moving per tick.  Avatars stream pose updates
 #: continuously (the C3a driver publishes every entity every tick), so
@@ -65,11 +62,8 @@ SCALE_TICKS = 4
 SCALE_CHURN = 1.0
 QUICK_SCALE_SIZES = (1000, 10000)
 QUICK_SCALE_TICKS = 3
-#: Acceptance: at N=10000 the vectorized shard must hold (modeled) 20 Hz.
+#: Acceptance: at N=10000 the shard must hold (modeled) 20 Hz.
 MIN_MODEL_TICK_RATE_10K = 19.0
-#: Acceptance: measured wall-clock speedup of the vectorized tick at this N.
-SPEEDUP_N = 5000
-MIN_SPEEDUP = 5.0
 #: Acceptance: the profiler's disabled path (a ``prof.enabled`` guard at
 #: each phase boundary) must cost under this share of a measured tick.
 MAX_NOOP_OVERHEAD_PCT = 3.0
@@ -140,7 +134,7 @@ def report(results, duration):
              f"{pairs_col}")
 
 
-def run_scale_one(n: int, vectorized: bool, ticks: int = SCALE_TICKS,
+def run_scale_one(n: int, ticks: int = SCALE_TICKS,
                   churn: float = SCALE_CHURN, seed: int = 3,
                   profiler=None):
     """Wall-clock one server's tick at N entities (all subscribed).
@@ -153,12 +147,9 @@ def run_scale_one(n: int, vectorized: bool, ticks: int = SCALE_TICKS,
     """
     sim = Simulator(seed=seed)
     interest = InterestManager(InterestConfig(radius_m=8.0, max_entities=30))
-    cost_model = ServerCostModel.vectorized() if vectorized \
-        else ServerCostModel()
     server = SyncServer(sim, tick_rate_hz=20.0, interest=interest,
-                        cost_model=cost_model, vectorized=vectorized,
+                        cost_model=ServerCostModel.vectorized(),
                         profiler=profiler)
-    assert server.vectorized == vectorized
     for i in range(n):
         server.subscribe(f"u{i}", lambda snapshot: None)
 
@@ -189,37 +180,24 @@ def run_scale_one(n: int, vectorized: bool, ticks: int = SCALE_TICKS,
     }
 
 
-def run_scale(sizes=SCALE_SIZES, ticks=SCALE_TICKS,
-              scalar_limit=SCALE_SCALAR_LIMIT):
-    results = {}
-    for n in sizes:
-        results[(n, True)] = run_scale_one(n, True, ticks)
-        if n <= scalar_limit:
-            results[(n, False)] = run_scale_one(n, False, ticks)
-    return results
+def run_scale(sizes=SCALE_SIZES, ticks=SCALE_TICKS):
+    return {n: run_scale_one(n, ticks) for n in sizes}
 
 
 def report_scale(results):
-    header("C3a — Data-plane N-sweep: vectorized (SoA) vs scalar wall clock")
-    emit(f"{'N':>6} {'path':<11} {'wall ms/tick':>13} {'model ms':>9} "
-         f"{'model Hz':>9}")
-    for (n, vectorized), row in sorted(results.items()):
-        path = "vectorized" if vectorized else "scalar"
-        emit(f"{n:>6} {path:<11} {row['wall_ms_per_tick']:>13.2f} "
+    header("C3a — Data-plane N-sweep: wall clock per tick")
+    emit(f"{'N':>6} {'wall ms/tick':>13} {'model ms':>9} {'model Hz':>9}")
+    for n, row in sorted(results.items()):
+        emit(f"{n:>6} {row['wall_ms_per_tick']:>13.2f} "
              f"{row['tick_cost_model_ms']:>9.2f} "
              f"{row['tick_rate_model']:>9.1f}")
-    for n in sorted({n for n, _ in results}):
-        if (n, True) in results and (n, False) in results:
-            speedup = results[(n, False)]["wall_ms_per_tick"] / \
-                max(1e-9, results[(n, True)]["wall_ms_per_tick"])
-            emit(f"  speedup at N={n}: {speedup:.1f}x")
 
 
 def run_profile(n: int, ticks: int = SCALE_TICKS, seed: int = 3,
                 baseline=None):
-    """Phase-profile the vectorized tick at N and price the off switch.
+    """Phase-profile the tick at N and price the off switch.
 
-    One instrumented repeat of the sweep's biggest vectorized config
+    One instrumented repeat of the sweep's biggest config
     yields the per-phase self-time table (apply / interest / delta /
     serialize); ``guard_overhead_pct`` then times the *disabled* path —
     the ``prof.enabled`` guards the hot loop always executes — against
@@ -227,9 +205,9 @@ def run_profile(n: int, ticks: int = SCALE_TICKS, seed: int = 3,
     the instrumentation turned off.
     """
     if baseline is None:
-        baseline = run_scale_one(n, True, ticks, seed=seed)
+        baseline = run_scale_one(n, ticks, seed=seed)
     profiler = TickProfiler()
-    profiled = run_scale_one(n, True, ticks, seed=seed, profiler=profiler)
+    profiled = run_scale_one(n, ticks, seed=seed, profiler=profiler)
     return {
         "profiler": profiler,
         "baseline_wall_ms": baseline["wall_ms_per_tick"],
@@ -240,7 +218,7 @@ def run_profile(n: int, ticks: int = SCALE_TICKS, seed: int = 3,
 
 
 def report_profile(profile, n):
-    header(f"C3a — Tick-phase self-time profile (vectorized, N={n})")
+    header(f"C3a — Tick-phase self-time profile (N={n})")
     for line in profile["profiler"].table().splitlines():
         emit(f"  {line}")
     emit(f"  profiled tick {profile['profiled_wall_ms']:.2f} ms vs "
@@ -261,23 +239,14 @@ def check_profile(profile):
             f"(budget {MAX_NOOP_OVERHEAD_PCT}%)")
 
 
-def check_scale(results, quick):
-    """The sweep's acceptance gates (raises on violation)."""
-    key_10k = (10_000, True)
-    if key_10k in results:
-        rate = results[key_10k]["tick_rate_model"]
+def check_scale(results):
+    """The sweep's acceptance gate (raises on violation)."""
+    if 10_000 in results:
+        rate = results[10_000]["tick_rate_model"]
         if rate < MIN_MODEL_TICK_RATE_10K:
             raise SystemExit(
-                f"N=10000 vectorized shard holds only {rate:.1f} Hz "
+                f"N=10000 shard holds only {rate:.1f} Hz "
                 f"(need >= {MIN_MODEL_TICK_RATE_10K})")
-    key = (SPEEDUP_N, True)
-    if not quick and key in results and (SPEEDUP_N, False) in results:
-        speedup = results[(SPEEDUP_N, False)]["wall_ms_per_tick"] / \
-            max(1e-9, results[key]["wall_ms_per_tick"])
-        if speedup < MIN_SPEEDUP:
-            raise SystemExit(
-                f"vectorized tick at N={SPEEDUP_N} is only {speedup:.1f}x "
-                f"the scalar path (need >= {MIN_SPEEDUP}x)")
 
 
 def test_c3a_scale_sync(benchmark):
@@ -342,16 +311,16 @@ def main(argv=None):
     scale = run_scale(scale_sizes, scale_ticks)
     report_scale(scale)
     profile_n = scale_sizes[-1]
-    profile = run_profile(profile_n, scale_ticks,
-                          baseline=scale[(profile_n, True)])
+    profile = run_profile(profile_n, scale_ticks, baseline=scale[profile_n])
     report_profile(profile, profile_n)
     biggest = results[(sizes[-1], True)]
+    # Keys keep the ``vec_`` prefix the committed perf-budget baseline uses.
     scale_params = {
-        f"{'vec' if vectorized else 'scalar'}_{n}": {
+        f"vec_{n}": {
             "wall_ms_per_tick": row["wall_ms_per_tick"],
             "tick_rate_model": row["tick_rate_model"],
         }
-        for (n, vectorized), row in scale.items()
+        for n, row in scale.items()
     }
     path = write_bench_json(
         "c3a", "egress_kbps_interest", biggest["egress_kbps"], "kbps",
@@ -374,7 +343,7 @@ def main(argv=None):
         },
         stages=biggest.get("stages_ms"))
     emit(f"wrote {path}")
-    check_scale(scale, quick=args.quick)
+    check_scale(scale)
     check_profile(profile)
     return results
 

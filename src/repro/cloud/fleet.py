@@ -8,7 +8,7 @@ those aggregates per macro-shard and derives the signals analytically
 from the same :class:`~repro.sync.server.ServerCostModel` the live
 :class:`~repro.sync.server.SyncServer` charges:
 
-* tick cost     ``cost(n) = cost_model.tick_cost(n, n, n, n*deg, n*deg)``
+* tick cost     ``cost(n) = cost_model.tick_cost(n, n*deg, n*deg)``
   (every subscriber publishes each tick; grid interest examines and
   sends ~``deg`` neighbors per subscriber, the nearest-k cap);
 * an overloaded shard stretches its tick exactly like the live server
@@ -197,8 +197,7 @@ class FluidFleet:
         for site in sorted(self.shards):
             n = self.shards[site]
             cost = self.cost_model.tick_cost(
-                n_updates=n, n_subscribers=n, n_entities=n,
-                n_states_sent=n * deg, pairs_scanned=n * deg,
+                n_updates=n, n_states_sent=n * deg, pairs_scanned=n * deg,
             )
             effective = max(period, cost)
             out.append(ShardSignals(

@@ -3,21 +3,19 @@
 The world is stored **structure-of-arrays**: positions, orientations,
 per-entity ``(epoch, seq)`` versions and wire sizes live in contiguous
 numpy arrays indexed by *slot*, with a stable ``id -> slot`` mapping for
-the lifetime of each entity (`` WorldState`` keeps the familiar
-``entities`` dict view in lock-step, so object-oriented callers are
-unaffected).  The SoA arrays are the canonical representation the
-vectorized tick path consumes directly — interest management and the
-batched delta encoder read them without rebuilding per-id dictionaries.
+the lifetime of each entity (``WorldState`` keeps the familiar
+``entities`` dict view in lock-step for id-keyed lookups).  The SoA
+arrays are the canonical representation the sync tick consumes
+directly — interest management and the batched delta encoder read them
+without rebuilding per-id dictionaries.
 
-Two delta encoders share the same semantics:
-
-* :class:`DeltaEncoder` — the original scalar per-entity path, retained
-  as the property-test oracle (exactly as PR 1 kept ``naive_relevant``).
-* :class:`BatchDeltaEncoder` — computes every subscriber's
-  changed/removed sets in one vectorized pass over a sparse
-  subscribers x entities seen-version structure (sorted
-  ``row << 32 | slot`` key arrays) compared against the world's
-  ``(epoch, seq)`` arrays.
+:class:`BatchDeltaEncoder` is the encoder the server and the federation
+relays run: it computes every subscriber's changed/removed sets in one
+vectorized pass over a sparse subscribers x entities seen-version
+structure (sorted ``row << 32 | slot`` key arrays) compared against the
+world's ``(epoch, seq)`` arrays.  :class:`DeltaEncoder` is the per-entity
+reference with the same semantics; only the encoder property tests run
+it, as the oracle they check :class:`BatchDeltaEncoder` against.
 
 Versioning is ``(epoch, seq)``: a client that crashes and rejoins with a
 reset sequence counter bumps its *epoch*, so its fresh updates are never
@@ -55,13 +53,13 @@ class WorldState:
     Structure-of-arrays backing: each live entity occupies one *slot*;
     ``positions[slot]``, ``orientations[slot]``, ``epochs[slot]``,
     ``seqs[slot]`` and ``wire_sizes[slot]`` are the canonical copies the
-    vectorized sync path reads.  Slots are stable while an entity lives;
+    sync tick reads.  Slots are stable while an entity lives;
     removal frees the slot for reuse and appends to a removal log that
     batch encoders drain (so a reused slot can never be mistaken for the
     entity that used to live there).
 
     The ``entities`` dict (id -> :class:`AvatarState`) is maintained in
-    lock-step for object-oriented callers and the scalar oracle path.
+    lock-step for id-keyed lookups and the reference encoder.
     """
 
     def __init__(self):
@@ -279,9 +277,9 @@ class WorldState:
         return ranks
 
     def positions(self) -> Dict[str, np.ndarray]:
-        """Id -> position mapping (scalar-path compatibility view).
+        """Id -> position mapping for id-keyed callers and oracles.
 
-        The vectorized tick never calls this: it reads :meth:`compact`
+        The sync tick never calls this: it reads :meth:`compact`
         directly.  Rows are views into the SoA block, not copies.
         """
         return {
@@ -309,9 +307,8 @@ class DeltaEncoder:
     that left it.  ``keyframe_interval`` forces periodic full snapshots so
     joiners and loss recover.
 
-    This is the scalar per-entity reference path, retained as the oracle
-    the ``vectorized`` property suite checks :class:`BatchDeltaEncoder`
-    against byte-for-byte.
+    This is the per-entity reference: no production path runs it; the
+    encoder property tests check :class:`BatchDeltaEncoder` against it.
 
     Keyframe cadence: ``keyframe_interval=k`` emits a keyframe every k-th
     *sent* snapshot tick — the counter increments before the threshold
@@ -395,8 +392,8 @@ class BatchDeltaEncoder:
        after an encode — unsent entries were already at the world
        version, which is what made them unsent).
 
-    Keyframe cadence matches the scalar :class:`DeltaEncoder` exactly,
-    including reset-only-when-sent.
+    Keyframe cadence matches the reference :class:`DeltaEncoder`
+    exactly, including reset-only-when-sent.
     """
 
     def __init__(self, keyframe_interval: int = 30):
@@ -412,8 +409,8 @@ class BatchDeltaEncoder:
         self._seqs = np.zeros(0, dtype=np.int64)
         #: row -> [(entity_id, seen_epoch, seen_seq)] whose slot died since
         #: the row's last encode.  If the id is alive and relevant again at
-        #: encode time the entry restores stale-suppression (the scalar
-        #: oracle's seen dict survives a remove + re-add of the same id);
+        #: encode time the entry restores stale-suppression (the reference
+        #: encoder's seen dict survives a remove + re-add of the same id);
         #: otherwise it becomes a removal.
         self._pending: Dict[int, List[Tuple[str, int, int]]] = {}
         self._log_drained = 0
@@ -528,7 +525,7 @@ class BatchDeltaEncoder:
 
         # Keyframe decision: counter increments first; "never seen
         # anything" rows also keyframe (the joiner path).  Pending entries
-        # count as seen — the scalar oracle's seen dict still holds dead
+        # count as seen — the reference encoder's seen dict still holds dead
         # entities at this point of its encode.
         has_pending = np.fromiter(
             (int(row) in self._pending for row in rows),
@@ -553,7 +550,7 @@ class BatchDeltaEncoder:
         # Removals: seen entries of these rows that left relevance, plus
         # pending entries from world removals.  A pending id that is alive
         # and relevant again restores stale-suppression instead (matching
-        # the scalar oracle, whose seen dict survives remove + re-add).
+        # the reference encoder, whose seen dict survives remove + re-add).
         order = np.argsort(cur_keys, kind="stable")
         sorted_cur_keys = cur_keys[order]
         removed_lists: List[List[str]] = [[] for _ in range(n_subs)]

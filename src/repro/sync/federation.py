@@ -18,8 +18,8 @@ that keeps every client's view consistent:
   that are relevant to any subscriber homed on the destination shard
   (computed with the same :class:`~repro.sync.interest.InterestManager`
   policy the shards use, delta-encoded by a
-  :class:`~repro.sync.delta.DeltaEncoder` so only changed states cross
-  the WAN); forwarded states materialize as *ghost* entities in the
+  :class:`~repro.sync.delta.BatchDeltaEncoder` so only changed states
+  cross the WAN); forwarded states materialize as *ghost* entities in the
   destination world, where the destination shard's own interest/delta
   tick serves them to its subscribers;
 * relays piggyback a *subscriber digest* (the positions of the home
@@ -58,7 +58,7 @@ report then shows shard-relay latency as its own budget line.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,16 +72,14 @@ from repro.net.geo import CITY_REGIONS, WORLD_CITIES
 from repro.net.latency import WanLatencyModel
 from repro.net.link import Link
 from repro.net.packet import Packet
-from repro.sensing.quantize import QuantizationConfig
 from repro.simkit.engine import Simulator
 from repro.sync.client import SyncClient
-from repro.sync.delta import OWNER_LOCAL, BatchDeltaEncoder, DeltaEncoder
+from repro.sync.delta import OWNER_LOCAL, BatchDeltaEncoder
 from repro.sync.interest import InterestConfig, InterestManager
 from repro.sync.migration import FailoverController, MigratableClient
 from repro.sync.protocol import HEADER_BYTES, ClientUpdate, ServerSnapshot
 from repro.sync.server import ServerCostModel, SyncServer
 
-_QUANT = QuantizationConfig()
 _ORIGIN = np.zeros(3)
 
 #: Wire bytes per subscriber-digest entry: 8-byte id hash + 3 x 4-byte
@@ -103,23 +101,18 @@ class ShardDelta:
     src_site: str
     dst_site: str
     seq: int
+    #: State-payload wire bytes: the relay sums the world's cached
+    #: per-slot wire sizes of the sent states in one reduction.
+    states_bytes: int
     states: List[Any] = field(default_factory=list)
     removed: List[str] = field(default_factory=list)
     subscribers: Dict[str, np.ndarray] = field(default_factory=dict)
     full: bool = False
     trace: Optional[Dict[str, Any]] = None
-    #: Precomputed state-payload bytes (the batched relay sums the
-    #: world's cached per-slot wire sizes in one reduction); None falls
-    #: back to the per-state sum, which is equal by construction.
-    cached_states_bytes: Optional[int] = None
 
     @property
     def size_bytes(self) -> int:
-        size = HEADER_BYTES
-        if self.cached_states_bytes is not None:
-            size += self.cached_states_bytes
-        else:
-            size += sum(state.wire_bytes(_QUANT) for state in self.states)
+        size = HEADER_BYTES + self.states_bytes
         size += 8 * len(self.removed)
         size += DIGEST_ENTRY_BYTES * len(self.subscribers)
         return size
@@ -143,7 +136,7 @@ class ShardRelay:
         dst_site: str,
         link: Link,
         interest: InterestManager,
-        encoder: DeltaEncoder,
+        encoder: BatchDeltaEncoder,
         profiler=None,
     ):
         self.service = service
@@ -169,22 +162,6 @@ class ShardRelay:
         #: ``(ids, slots, points, subject_points, relevant slots)`` of the
         #: last batch interest computation, reused while inputs repeat.
         self._relevant: Optional[tuple] = None
-
-    def _encode_scalar(self, src) -> tuple:
-        """Scalar relay round: id-set interest + per-entity delta encode."""
-        local = self.service.local_entities(self.src_site)
-        relevant: Set[str] = set()
-        if self.remote_subjects and local:
-            positions = {
-                entity_id: state.pose.position
-                for entity_id, state in local.items()
-            }
-            for subject_set in self.interest.relevant_batch(
-                    positions, self.remote_subjects).values():
-                relevant |= subject_set
-        states, removed, full = self.encoder.encode(
-            self.dst_site, src.world, relevant)
-        return [state.copy() for state in states], removed, full, None
 
     def _encode_batch(self, src) -> tuple:
         """SoA relay round: the source-local slot block feeds the
@@ -255,10 +232,7 @@ class ShardRelay:
         prof = self.profiler
         if prof.enabled:
             prof.begin("relay_encode")
-        if isinstance(self.encoder, BatchDeltaEncoder):
-            states, removed, full, states_bytes = self._encode_batch(src)
-        else:
-            states, removed, full, states_bytes = self._encode_scalar(src)
+        states, removed, full, states_bytes = self._encode_batch(src)
         digest = service.home_subscriber_digest(self.src_site)
         if not states and not removed and not digest:
             if prof.enabled:
@@ -270,11 +244,11 @@ class ShardRelay:
             src_site=self.src_site,
             dst_site=self.dst_site,
             seq=self.seq,
+            states_bytes=states_bytes,
             states=states,
             removed=removed,
             subscribers=digest,
             full=full,
-            cached_states_bytes=states_bytes,
         )
         self.seq += 1
         packet = Packet(
@@ -355,7 +329,6 @@ class ShardedSyncService:
         default_inter_shard_delay: float = 0.02,
         default_access_delay: float = 0.005,
         name: str = "fed",
-        vectorized: bool = True,
         profiler=None,
     ):
         if not plan.sites:
@@ -399,7 +372,6 @@ class ShardedSyncService:
         #: stops a relay from echoing a ghost back to where it came from.
         self.entity_home: Dict[str, str] = {}
         self.clients: Dict[str, FederatedClient] = {}
-        self.vectorized = vectorized
         if profiler is None:
             from repro.obs.profiler import NOOP_PROFILER
             profiler = NOOP_PROFILER
@@ -439,7 +411,6 @@ class ShardedSyncService:
             interest=InterestManager(self.interest_config),
             cost_model=self._cost_model,
             keyframe_interval=self._keyframe_interval,
-            vectorized=self.vectorized,
             profiler=self.profiler,
         )
 
@@ -449,15 +420,11 @@ class ShardedSyncService:
             self._inter_shard_delay(src, dst),
             name=f"{self.name}:{src}->{dst}",
         )
-        relay_encoder = (
-            BatchDeltaEncoder(keyframe_interval=self._keyframe_interval)
-            if self.vectorized
-            else DeltaEncoder(keyframe_interval=self._keyframe_interval)
-        )
         return ShardRelay(
             self, src, dst, link,
             interest=InterestManager(self.interest_config),
-            encoder=relay_encoder,
+            encoder=BatchDeltaEncoder(
+                keyframe_interval=self._keyframe_interval),
             profiler=self.profiler,
         )
 
@@ -820,15 +787,6 @@ class ShardedSyncService:
         ]
         rows = np.asarray(keep, dtype=np.int64)
         return [ids[row] for row in keep], slots[rows], points[rows], rows
-
-    def local_entities(self, site: str) -> Dict[str, Any]:
-        """Entities authoritative on ``site`` (ghost copies excluded)."""
-        world = self.shards[site].world
-        ids, slots, _points, _rows = self.local_soa(site)
-        return {
-            entity_id: world.state_at(slot)
-            for entity_id, slot in zip(ids, slots.tolist())
-        }
 
     def home_subscriber_digest(self, site: str) -> Dict[str, np.ndarray]:
         """Positions of the clients homed on ``site`` (relay subjects).

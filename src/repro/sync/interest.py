@@ -9,21 +9,22 @@ against full broadcast.
 The query side is backed by a uniform spatial hash grid
 (:class:`SpatialHashGrid`) with cell size equal to the interest radius,
 so a radius query only examines the 3x3x3 block of cells around the
-subject instead of every entity in the world.  The batch entry point
-:meth:`InterestManager.relevant_batch` builds the grid once per tick
-from stacked positions and answers every subscriber against it;
-:meth:`InterestManager.relevant` stays as a thin single-subject wrapper
-so existing callers (and :class:`BroadcastInterest`) remain
-source-compatible.  :func:`naive_relevant` keeps the original O(N)
-linear scan as the reference oracle the equivalence tests check the
-grid against.
+subject instead of every entity in the world.  The core is
+:meth:`InterestManager.relevant_indices_batch`: one grid build per
+tick over the stacked entity positions answers every subscriber as a
+CSR over entity rows, which is what the sync server and the federation
+relays call.  :meth:`InterestManager.relevant_batch` and
+:meth:`InterestManager.relevant` are id-keyed wrappers over it, and
+:class:`BroadcastInterest` overrides the core with the no-filtering
+answer.  :func:`naive_relevant` keeps the original O(N) linear scan as
+the reference oracle the equivalence tests check the grid against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -333,9 +334,10 @@ class InterestManager:
         equal distances share a bucket), every pair strictly below a
         subject's threshold bucket is kept outright, and only the boundary
         bucket — a tiny fraction of the pairs — is sorted by
-        ``(distance, id rank)`` to break ties exactly as the scalar oracle
-        does.  Within-subject output order is selection order, not distance
-        order; consumers treat each subject's slice as a set.
+        ``(distance, id rank)`` to break ties exactly as
+        :func:`naive_relevant` does.  Within-subject output order is
+        selection order, not distance order; consumers treat each
+        subject's slice as a set.
         """
         limit = self.config.max_entities
         counts = np.bincount(subj, minlength=s)
@@ -420,54 +422,6 @@ class InterestManager:
             for i, subject_id in enumerate(subject_ids)
         }
 
-    def relevant_sets_scalar(
-        self,
-        positions: Mapping[str, np.ndarray],
-        subjects: Optional[Mapping[str, np.ndarray]] = None,
-    ) -> Dict[str, Set[str]]:
-        """The pre-vectorization per-subject loop, preserved verbatim.
-
-        One grid build, then a Python ranking pass per subject.  The
-        scalar server tick runs on this so the vectorized-vs-scalar
-        equivalence suite checks the batched core against the *original*
-        data plane (and so the C3a N-sweep's speedup baseline is the code
-        that was actually replaced), not against a re-wrapping of
-        :meth:`relevant_indices_batch`.
-        """
-        if subjects is None:
-            subjects = positions
-        grid = SpatialHashGrid.from_positions(positions, self.config.radius_m)
-        always_pool = [
-            entity_id
-            for entity_id in self.config.always_relevant
-            if entity_id in positions
-        ]
-        pairs_scanned = 0
-        results: Dict[str, Set[str]] = {}
-        for subject_id, point in subjects.items():
-            point = np.asarray(point, dtype=float)
-            always = {e for e in always_pool if e != subject_id}
-            candidates = grid.candidate_indices(point)
-            pairs_scanned += len(candidates)
-            if len(candidates) == 0:
-                results[subject_id] = always
-                continue
-            distances = np.linalg.norm(grid.points[candidates] - point, axis=1)
-            within = distances <= self.config.radius_m
-            ranked: List[tuple] = []
-            for distance, index in zip(
-                distances[within].tolist(), candidates[within].tolist()
-            ):
-                entity_id = grid.ids[index]
-                if entity_id == subject_id or entity_id in always:
-                    continue
-                ranked.append((distance, entity_id))
-            ranked.sort()
-            nearest = {e for _d, e in ranked[: self.config.max_entities]}
-            results[subject_id] = always | nearest
-        self.last_pairs_scanned = pairs_scanned
-        return results
-
     def relevance_matrix(
         self, positions: Mapping[str, np.ndarray]
     ) -> Dict[str, Set[str]]:
@@ -475,27 +429,33 @@ class InterestManager:
         return self.relevant_batch(positions)
 
 
-class BroadcastInterest:
-    """The no-filtering baseline: everyone is relevant to everyone."""
+class BroadcastInterest(InterestManager):
+    """The no-filtering baseline: everyone is relevant to everyone.
+
+    The C3a ablation arm.  It speaks the same indices API as the grid
+    manager, so a :class:`~repro.sync.server.SyncServer` runs it through
+    its one tick; the query scans, and reports, all ``s x n`` pairs.
+    """
 
     def __init__(self):
-        self.last_pairs_scanned = 0
+        super().__init__()
 
-    def relevant(self, subject_id, subject_position, positions) -> Set[str]:
-        """All entity ids except the subject itself."""
-        return {entity_id for entity_id in positions if entity_id != subject_id}
-
-    def relevant_batch(
+    def relevant_indices_batch(
         self,
-        positions: Mapping[str, np.ndarray],
-        subjects: Optional[Iterable[str]] = None,
-    ) -> Dict[str, Set[str]]:
-        """Every subject sees every entity; scans all N x M pairs."""
-        if subjects is None:
-            subjects = positions
-        everyone = set(positions)
-        results = {
-            subject_id: everyone - {subject_id} for subject_id in subjects
-        }
-        self.last_pairs_scanned = len(results) * len(everyone)
-        return results
+        points: np.ndarray,
+        subject_points: np.ndarray,
+        subject_self: np.ndarray,
+        always_indices: np.ndarray,
+        id_ranks: np.ndarray,
+    ) -> tuple:
+        """Every entity row except subject i's own, for every subject i."""
+        n = len(points)
+        s = len(subject_points)
+        subject_self = np.asarray(subject_self, dtype=np.int64)
+        cand = np.tile(np.arange(n, dtype=np.int64), s)
+        subj = np.repeat(np.arange(s, dtype=np.int64), n)
+        keep = cand != subject_self[subj]
+        counts = np.bincount(subj[keep], minlength=s)
+        self.last_pairs_scanned = s * n
+        offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+        return offsets, cand[keep]

@@ -55,7 +55,7 @@ class ServerSnapshot:
     removed: List[str] = field(default_factory=list)
     full: bool = False
     trace: Optional[Dict[str, Any]] = None
-    #: Precomputed wire size.  The vectorized tick sums per-entity wire
+    #: Precomputed wire size.  The server tick sums per-entity wire
     #: sizes for every subscriber in one reduction and stamps the result
     #: here; when None the property falls back to the per-state sum (the
     #: two are equal by construction — the cached per-slot sizes come from

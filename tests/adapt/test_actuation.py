@@ -2,9 +2,9 @@
 
 The controller is only as good as its knobs.  These tests pin the two
 server-side actuation paths the adaptation loop turns — per-client
-snapshot decimation and advisory LOD hints — on both the vectorized and
-scalar tick paths, plus the federation-level replication that keeps the
-policy with the user through moves and newly provisioned shards.
+snapshot decimation and advisory LOD hints — plus the federation-level
+replication that keeps the policy with the user through moves and newly
+provisioned shards.
 """
 
 import pytest
@@ -45,9 +45,9 @@ def wire_clients(sim, server, n):
     return clients
 
 
-def run_decimated(vectorized, factor, seed=3):
+def run_decimated(factor, seed=3):
     sim = Simulator(seed=seed)
-    server = SyncServer(sim, tick_rate_hz=20.0, vectorized=vectorized)
+    server = SyncServer(sim, tick_rate_hz=20.0)
     clients = wire_clients(sim, server, 3)
     server.set_snapshot_decimation("c0", factor)
     server.run(duration=RUN_S)
@@ -57,10 +57,9 @@ def run_decimated(vectorized, factor, seed=3):
     return server, clients
 
 
-@pytest.mark.parametrize("vectorized", [True, False])
-def test_decimation_reduces_snapshot_rate(vectorized):
+def test_decimation_reduces_snapshot_rate():
     factor = 4
-    server, clients = run_decimated(vectorized, factor)
+    server, clients = run_decimated(factor)
     full = clients[1].snapshots_received
     decimated = clients[0].snapshots_received
     assert full > 50  # the run actually ticked
@@ -70,10 +69,9 @@ def test_decimation_reduces_snapshot_rate(vectorized):
         full - decimated - factor)
 
 
-@pytest.mark.parametrize("vectorized", [True, False])
-def test_decimated_stream_converges_to_full_stream_state(vectorized):
+def test_decimated_stream_converges_to_full_stream_state():
     """Skipped ticks accumulate into the next delta: no state is lost."""
-    server, clients = run_decimated(vectorized, 3)
+    server, clients = run_decimated(3)
     observer = clients[1].latest_states()
     coarse = clients[0].latest_states()
     assert set(coarse) >= {"c1", "c2"}
@@ -88,7 +86,7 @@ def test_decimated_stream_converges_to_full_stream_state(vectorized):
 def test_decimation_is_deterministic_replay(seed=11):
     counts = []
     for _ in range(2):
-        _server, clients = run_decimated(True, 3, seed=seed)
+        _server, clients = run_decimated(3, seed=seed)
         counts.append([c.snapshots_received for c in clients])
     assert counts[0] == counts[1]
 

@@ -91,17 +91,11 @@ def test_committed_baseline_matches_current_sweep_shape():
     """The repo's own baseline must track the bench's quick-mode N points.
 
     This is the early-warning version of the CI note: when someone
-    reshapes ``QUICK_SCALE_SIZES`` (or the scalar limit) they must
-    re-record ``perf_budget_baseline.json`` in the same change.
+    reshapes ``QUICK_SCALE_SIZES`` they must re-record
+    ``perf_budget_baseline.json`` in the same change.
     """
-    from benchmarks.bench_c3_scale_sync import (
-        QUICK_SCALE_SIZES,
-        SCALE_SCALAR_LIMIT,
-    )
+    from benchmarks.bench_c3_scale_sync import QUICK_SCALE_SIZES
 
     expected = {f"vec_{n}" for n in QUICK_SCALE_SIZES}
-    expected |= {
-        f"scalar_{n}" for n in QUICK_SCALE_SIZES if n <= SCALE_SCALAR_LIMIT
-    }
     baseline = json.loads(perf_budget.BASELINE_PATH.read_text())
     assert set(baseline["wall_ms_per_tick"]) == expected

@@ -81,7 +81,7 @@ def _linear(start, velocity):
 # -- scenarios -----------------------------------------------------------------
 
 
-def run_churn(seed, keyframe_interval, broadcast=False, vectorized=True):
+def run_churn(seed, keyframe_interval, broadcast=False):
     """Entity churn (drop and rejoin with a bumped epoch, joint payloads)
     plus subscriber churn (leave, return, late joiner) on one server."""
     sim = Simulator(seed=seed)
@@ -91,7 +91,7 @@ def run_churn(seed, keyframe_interval, broadcast=False, vectorized=True):
                        always_relevant=frozenset({"e0"})))
     server = SyncServer(
         sim, tick_rate_hz=20.0, interest=interest,
-        keyframe_interval=keyframe_interval, vectorized=vectorized)
+        keyframe_interval=keyframe_interval)
     client_ids = [f"c{i}" for i in range(4)]
     received = {cid: [] for cid in client_ids}
 
@@ -138,14 +138,13 @@ def run_churn(seed, keyframe_interval, broadcast=False, vectorized=True):
     }
 
 
-def run_failover(seed=7, duration=4.0, vectorized=True):
+def run_failover(seed=7, duration=4.0):
     """Primary crash, failure detection, re-attach to a standby."""
     sim = Simulator(seed=seed)
     received = []
     servers = {}
     for name in ("primary", "standby"):
-        server = SyncServer(sim, name=name, tick_rate_hz=20.0,
-                            vectorized=vectorized)
+        server = SyncServer(sim, name=name, tick_rate_hz=20.0)
         rng = np.random.default_rng(seed + (name == "standby"))
         seqs = {}
 
@@ -190,11 +189,11 @@ def run_failover(seed=7, duration=4.0, vectorized=True):
     }
 
 
-def run_decimation(seed=3, duration=3.0, delay=0.005, vectorized=True):
+def run_decimation(seed=3, duration=3.0, delay=0.005):
     """Per-client snapshot decimation, including a factor change and a
     reset to full rate mid-run, over fixed-delay links."""
     sim = Simulator(seed=seed)
-    server = SyncServer(sim, tick_rate_hz=20.0, vectorized=vectorized)
+    server = SyncServer(sim, tick_rate_hz=20.0)
     received = {}
     for i in range(5):
         cid = f"c{i}"
@@ -220,7 +219,7 @@ def run_decimation(seed=3, duration=3.0, delay=0.005, vectorized=True):
     return {"streams": received}
 
 
-def run_federation(seed=21, duration=3.0, vectorized=True):
+def run_federation(seed=21, duration=3.0):
     """Three virtual shards (fixed link delays), walkers among seated
     users, one voluntary move and one shard crash with failover."""
     sites = ["s0", "s1", "s2"]
@@ -233,8 +232,7 @@ def run_federation(seed=21, duration=3.0, vectorized=True):
     sim = Simulator(seed=seed)
     service = ShardedSyncService(
         sim, plan, relay_rate_hz=50.0,
-        interest_config=InterestConfig(radius_m=3.0, max_entities=3),
-        vectorized=vectorized)
+        interest_config=InterestConfig(radius_m=3.0, max_entities=3))
     received = {user: [] for user in users}
     deliver = service._deliver_snapshot
 
@@ -289,11 +287,9 @@ def test_golden_file_covers_every_scenario():
     assert sorted(_golden()) == sorted(SCENARIOS)
 
 
-@pytest.mark.parametrize("vectorized", [True, False],
-                         ids=["vectorized", "scalar"])
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_snapshot_stream_matches_golden_digest(name, vectorized):
-    got = stream_digest(SCENARIOS[name](vectorized=vectorized))
+def test_snapshot_stream_matches_golden_digest(name):
+    got = stream_digest(SCENARIOS[name]())
     expected = _golden()[name]
     assert got == expected, (
         f"scenario {name!r}: snapshot stream digest is now {got} "

@@ -122,9 +122,20 @@ def test_broadcast_batch_matches_single_subject():
     baseline = BroadcastInterest()
     positions = {f"p{i}": np.zeros(3) for i in range(6)}
     batch = baseline.relevant_batch(positions)
+    assert baseline.last_pairs_scanned == 36
     for pid in positions:
         assert batch[pid] == baseline.relevant(pid, positions[pid], positions)
-    assert baseline.last_pairs_scanned == 36
+        assert batch[pid] == set(positions) - {pid}
+    # The indices core the server calls: every row but the subject's own
+    # (a subject that is not an entity, row -1, sees all of them).
+    points = np.zeros((6, 3))
+    subject_self = np.array([0, 3, -1], dtype=np.int64)
+    offsets, flat = baseline.relevant_indices_batch(
+        points, np.zeros((3, 3)), subject_self,
+        np.empty(0, dtype=np.int64), np.arange(6, dtype=np.int64))
+    rows = [flat[offsets[i]:offsets[i + 1]].tolist() for i in range(3)]
+    assert rows == [[1, 2, 3, 4, 5], [0, 1, 2, 4, 5], [0, 1, 2, 3, 4, 5]]
+    assert baseline.last_pairs_scanned == 3 * 6
 
 
 # -- grid/naive equivalence --------------------------------------------------

@@ -8,7 +8,7 @@ from repro.net.topology import Site, Topology
 from repro.simkit import Simulator
 from repro.sync.client import SyncClient
 from repro.sync.consistency import ConsistencyProbe
-from repro.sync.interest import InterestConfig, InterestManager
+from repro.sync.interest import BroadcastInterest, InterestConfig, InterestManager
 from repro.sync.protocol import ClientUpdate, ServerSnapshot
 from repro.sync.server import ServerCostModel, SyncServer
 from repro.workload.traces import SeatedMotion
@@ -235,22 +235,25 @@ def test_measurement_windows_reset_between_runs():
     assert server.egress_bytes_per_client_s() < 1.5 * first_egress
 
 
-def test_custom_single_subject_interest_still_supported():
-    class OnlyC1:
-        """A legacy interest object without the batch API."""
-
-        def relevant(self, subject_id, subject_position, positions):
-            return {e for e in positions if e == "c1" and e != subject_id}
-
+def test_broadcast_room_delivers_everyone_through_the_tick():
+    """``BroadcastInterest`` runs through the server's one tick: every
+    subscriber learns every other entity, and each tick is charged the
+    full subscribers x entities pair scan."""
     sim = Simulator(seed=14)
-    server = SyncServer(sim, tick_rate_hz=20.0, interest=OnlyC1())
-    clients = wire_clients(sim, server, 3)
-    server.run(duration=3.0)
+    server = SyncServer(sim, tick_rate_hz=20.0, interest=BroadcastInterest())
+    clients = wire_clients(sim, server, 4)
+    server.run(duration=2.0)
     for client, _trace in clients:
-        client.run(duration=3.0)
+        client.run(duration=2.0)
     sim.run()
-    c0 = clients[0][0]
-    assert c0.known_entities == ["c1"]
+    ids = sorted(client.client_id for client, _trace in clients)
+    for client, _trace in clients:
+        assert client.known_entities == [
+            e for e in ids if e != client.client_id]
+    # After the first round of updates every tick sees all 4 entities.
+    assert server.interest.last_pairs_scanned == 4 * 4
+    assert server.metrics.counter("interest_pairs_scanned") <= \
+        4 * 4 * server.tick_count
 
 
 def test_client_requires_local_pose():
