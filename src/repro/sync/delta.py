@@ -394,6 +394,10 @@ class BatchDeltaEncoder:
 
     Keyframe cadence matches the reference :class:`DeltaEncoder`
     exactly, including reset-only-when-sent.
+
+    Rows released by :meth:`forget` go on a free list and are reused, so
+    the per-row arrays stay bounded under subscriber churn.  Output does
+    not depend on row numbers.
     """
 
     def __init__(self, keyframe_interval: int = 30):
@@ -402,6 +406,7 @@ class BatchDeltaEncoder:
         self.keyframe_interval = keyframe_interval
         self._row_of: Dict[str, int] = {}
         self._next_row = 0
+        self._free_rows: List[int] = []
         self._ticks = np.zeros(0, dtype=np.int64)     # indexed by row
         self._row_counts = np.zeros(0, dtype=np.int64)
         self._keys = np.zeros(0, dtype=np.int64)      # sorted row<<32|slot
@@ -420,9 +425,12 @@ class BatchDeltaEncoder:
     def _row(self, subscriber_id: str) -> int:
         row = self._row_of.get(subscriber_id)
         if row is None:
-            row = self._next_row
+            if self._free_rows:
+                row = self._free_rows.pop()
+            else:
+                row = self._next_row
+                self._next_row += 1
             self._row_of[subscriber_id] = row
-            self._next_row += 1
             if row >= len(self._ticks):
                 grow = max(64, len(self._ticks))
                 self._ticks = np.concatenate(
@@ -444,6 +452,7 @@ class BatchDeltaEncoder:
         self._row_counts[row] = 0
         self._ticks[row] = 0
         self._pending.pop(row, None)
+        self._free_rows.append(row)
 
     def acked_seq(self, subscriber_id: str, entity_id: str,
                   world: WorldState) -> Optional[int]:

@@ -7,8 +7,9 @@ Whole-server snapshot streams are pinned by the golden digests in
 ``tests/golden/``.
 
 Also here: regression tests for bugs fixed in the data plane (keyframe
-cadence off-by-one, instantaneous-count egress division, and the
-stale-seq freeze of crash/rejoin clients).
+cadence off-by-one, instantaneous-count egress division, the stale-seq
+freeze of crash/rejoin clients, and unbounded encoder rows under
+subscriber churn).
 """
 
 import numpy as np
@@ -246,6 +247,22 @@ def test_keyframe_counter_holds_until_actually_sent(encoder_cls):
     world.apply(AvatarState("a", 1.0, Pose(), seq=1))
     sent, _removed, full = encode([world.slot_of("a")])
     assert full and sent == 1
+
+
+def test_encoder_rows_stay_bounded_under_subscriber_churn():
+    """A row released by ``forget`` is reused: 5,000 subscribe, tick,
+    unsubscribe cycles of one client keep the per-row arrays at their
+    initial size (they used to grow to 8,192 rows)."""
+    server = SyncServer(Simulator(seed=2), tick_rate_hz=20.0)
+    server.ingest(ClientUpdate(
+        "teacher", AvatarState("teacher", 0.0, Pose(), seq=0), 0))
+    received = []
+    for _ in range(5000):
+        server.subscribe("student", received.append)
+        server.tick_once()
+        server.unsubscribe("student")
+    assert len(received) == 5000 and all(s.full for s in received)
+    assert len(server.encoder._ticks) <= 64
 
 
 # -- regression: egress divides by time-averaged subscriber count -------------
