@@ -568,8 +568,8 @@ class SyncServer:
         read sent ~1/100th of the per-client bandwidth the old divisor
         claimed.
         """
-        if duration is not None and duration <= 0:
-            return 0.0
+        if duration is not None:
+            self._window_elapsed(duration)  # raises on duration <= 0
         if self._window_end_sub_seconds is not None:
             sub_seconds = self._window_end_sub_seconds \
                 - self._window_start_sub_seconds

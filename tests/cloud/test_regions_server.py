@@ -157,6 +157,8 @@ def test_cloud_server_measurement_passthrough():
     assert cloud.achieved_tick_rate() == pytest.approx(20.0, rel=0.1)
     assert cloud.achieved_tick_rate(2.0) == cloud.sync.achieved_tick_rate(2.0)
     assert cloud.egress_bytes_per_client_s() >= 0.0
+    with pytest.raises(ValueError):
+        cloud.egress_bytes_per_client_s(0.0)
     assert cloud.metrics is cloud.sync.metrics
 
 

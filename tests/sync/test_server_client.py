@@ -156,6 +156,24 @@ def test_server_validation():
         server.achieved_tick_rate(0.0)
 
 
+def test_egress_rejects_nonpositive_duration():
+    """Like ``achieved_tick_rate``, an explicit non-positive duration is
+    an error (it used to read as 0.0 bytes/s), on an idle server too."""
+    sim = Simulator(seed=4)
+    idle = SyncServer(sim)
+    server = SyncServer(sim, tick_rate_hz=20.0)
+    clients = wire_clients(sim, server, 2)
+    server.run(duration=1.0)
+    for client, _trace in clients:
+        client.run(duration=1.0)
+    sim.run()
+    assert server.egress_bytes_per_client_s(1.0) > 0
+    for target in (server, idle):
+        for duration in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                target.egress_bytes_per_client_s(duration)
+
+
 def test_server_rejects_nonpositive_duration():
     sim = Simulator()
     server = SyncServer(sim)
