@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, List
 
 from repro.metrics.stats import Summary, summarize
@@ -19,10 +18,6 @@ class LatencyTracker:
         if seconds < 0:
             raise ValueError(f"negative latency sample: {seconds}")
         self.samples.append(float(seconds))
-
-    def record_span(self, start: float, end: float) -> None:
-        """Record ``end - start``; rejects reversed spans."""
-        self.record(end - start)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -46,11 +41,12 @@ class StageBudget:
 
     Used by the Figure-3 experiment to show where the motion-to-photon
     budget goes (sensing, uplink, fusion, inter-site, placement, render,
-    display).
+    display), and by :class:`~repro.obs.report.MotionToPhotonReport` to
+    aggregate per-trace stage sums from spans.
     """
 
     def __init__(self):
-        self._stages: "OrderedDict[str, LatencyTracker]" = OrderedDict()
+        self._stages: Dict[str, LatencyTracker] = {}
 
     def record(self, stage: str, seconds: float) -> None:
         tracker = self._stages.get(stage)
@@ -73,20 +69,3 @@ class StageBudget:
             for name, tracker in self._stages.items()
             if tracker.samples
         }
-
-    def total_mean_ms(self) -> float:
-        return sum(self.mean_breakdown_ms().values())
-
-    def table(self) -> str:
-        """Formatted per-stage table for benchmark printouts."""
-        lines = [f"{'stage':<28} {'mean ms':>10} {'p95 ms':>10} {'p99 ms':>10}"]
-        for name, tracker in self._stages.items():
-            if not tracker.samples:
-                continue
-            summary = tracker.summary_ms()
-            lines.append(
-                f"{name:<28} {summary.mean:>10.3f} {summary.p95:>10.3f} "
-                f"{summary.p99:>10.3f}"
-            )
-        lines.append(f"{'TOTAL (sum of means)':<28} {self.total_mean_ms():>10.3f}")
-        return "\n".join(lines)

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.metrics.latency import LatencyTracker
-from repro.obs.span import MTP_STAGES, Span
+from repro.metrics.latency import LatencyTracker, StageBudget
+from repro.obs.span import MTP_STAGES, Span, stage_durations
 
 #: The paper's interaction budget: above this, latency is noticeable.
 LATENCY_BUDGET_S = 0.100
@@ -97,7 +97,7 @@ class MotionToPhotonReport:
         self.stage_order = tuple(stage_order)
         self.traces: List[TraceSummary] = []
         self.incomplete = 0
-        self._stage_trackers: Dict[str, LatencyTracker] = {}
+        self._budget = StageBudget()
         self._e2e = LatencyTracker("end_to_end")
 
         taxonomy = set(self.stage_order)
@@ -119,25 +119,17 @@ class MotionToPhotonReport:
                        for s in trace_spans):
                     self.incomplete += 1
                 continue
+            # Spans starting at or after photon are not part of this budget.
+            stages = stage_durations(
+                s for s in trace_spans if s is not root and s.start < root.end)
             summary = TraceSummary(
                 trace_id=trace_id, start=root.start, end=root.end,
-                attrs=dict(root.attrs),
+                stages=stages, attrs=dict(root.attrs),
             )
-            for span in trace_spans:
-                if span is root or span.end is None:
-                    continue
-                if span.start >= root.end:
-                    continue  # after photon: not part of this budget
-                summary.stages[span.stage] = (
-                    summary.stages.get(span.stage, 0.0) + span.duration)
             self.traces.append(summary)
             self._e2e.record(summary.end_to_end)
-            for stage, seconds in summary.stages.items():
-                tracker = self._stage_trackers.get(stage)
-                if tracker is None:
-                    tracker = LatencyTracker(stage)
-                    self._stage_trackers[stage] = tracker
-                tracker.record(seconds)
+            for stage, seconds in stages.items():
+                self._budget.record(stage, seconds)
 
     @classmethod
     def from_tracer(cls, tracer, **kwargs) -> "MotionToPhotonReport":
@@ -152,13 +144,13 @@ class MotionToPhotonReport:
     @property
     def stages(self) -> List[str]:
         """Observed stages: taxonomy order first, extras appended."""
-        observed = list(self._stage_trackers)
-        ordered = [s for s in self.stage_order if s in self._stage_trackers]
+        observed = self._budget.stages
+        ordered = [s for s in self.stage_order if s in observed]
         ordered.extend(s for s in observed if s not in ordered)
         return ordered
 
     def stage_tracker(self, stage: str) -> LatencyTracker:
-        return self._stage_trackers[stage]
+        return self._budget.tracker(stage)
 
     @property
     def end_to_end(self) -> LatencyTracker:
@@ -229,10 +221,8 @@ class MotionToPhotonReport:
 
     def breakdown_ms(self) -> Dict[str, float]:
         """Mean per-stage milliseconds, in pipeline order."""
-        return {
-            stage: self._stage_trackers[stage].summary().mean * 1e3
-            for stage in self.stages
-        }
+        means = self._budget.mean_breakdown_ms()
+        return {stage: means[stage] for stage in self.stages}
 
     def table(self) -> str:
         """The motion-to-photon budget table benchmarks print."""
@@ -244,7 +234,7 @@ class MotionToPhotonReport:
             f"{'p99 ms':>9} {'share':>7}"
         ]
         for stage in self.stages:
-            summary = self._stage_trackers[stage].summary_ms()
+            summary = self.stage_tracker(stage).summary_ms()
             # A stage missing from some traces still averages over the
             # traces it appears in; the share divides by mean end-to-end.
             share = summary.mean / e2e.mean if e2e.mean > 0 else 0.0

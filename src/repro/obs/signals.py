@@ -69,10 +69,6 @@ class SampleWindow:
         self._cursor = len(samples)
         return fresh
 
-    def poll_percentile(self, q: float, default: float = 0.0) -> float:
-        """Convenience: :meth:`poll` reduced to one percentile."""
-        return percentile(self.poll(), q, default)
-
 
 class CounterRate:
     """Finite-difference rate of a monotone counter between polls.

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.metrics.latency import LatencyTracker, StageBudget
+from repro.metrics.latency import LatencyTracker
 from repro.render.display import DisplayModel
 
 
@@ -50,7 +50,6 @@ class RenderPipeline:
         self.display = display
         self.obs = obs  # optional SpanTracer; spans stamped by its clock
         self.motion_to_photon = LatencyTracker("motion_to_photon")
-        self.budget = StageBudget()
         self.frames_rendered = 0
         self.frames_dropped = 0
         self._clock = 0.0
@@ -84,8 +83,6 @@ class RenderPipeline:
         ready = self._clock + render_time
         vsync_wait = self.display.vsync_wait(ready)
         mtp = sample_age + render_time + vsync_wait
-        self.budget.record("render", render_time)
-        self.budget.record("vsync", vsync_wait)
         self.motion_to_photon.record(mtp)
         self.frames_rendered += 1
         self._clock = ready + vsync_wait

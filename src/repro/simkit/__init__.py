@@ -15,7 +15,6 @@
   random streams so a run is reproducible from ``(config, seed)``.
 * :class:`~repro.simkit.clock.VirtualClock` — per-device clocks with offset
   and drift relative to simulation time.
-* :class:`~repro.simkit.trace.Tracer` — structured event tracing.
 
 Example
 -------
@@ -42,7 +41,6 @@ from repro.simkit.event import AllOf, AnyOf, Event, Timeout
 from repro.simkit.process import Process
 from repro.simkit.resource import Resource, Store
 from repro.simkit.rng import RngRegistry
-from repro.simkit.trace import TraceRecord, Tracer
 
 __all__ = [
     "AllOf",
@@ -57,7 +55,5 @@ __all__ = [
     "StopProcess",
     "Store",
     "Timeout",
-    "TraceRecord",
-    "Tracer",
     "VirtualClock",
 ]

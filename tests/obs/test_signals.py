@@ -29,16 +29,6 @@ def test_sample_window_resets_on_shrunk_source():
     assert window.poll() == [7.0]
 
 
-def test_sample_window_percentile_convenience():
-    tracker = LatencyTracker()
-    window = SampleWindow(lambda: tracker.samples)
-    for value in (0.01, 0.02, 0.5):
-        tracker.record(value)
-    assert window.poll_percentile(95.0) == 0.5
-    # Window drained: the default answers, not stale data.
-    assert window.poll_percentile(95.0, default=-1.0) == -1.0
-
-
 def test_counter_rate_finite_difference():
     value = {"v": 0.0}
     rate = CounterRate(lambda: value["v"])

@@ -1,8 +1,8 @@
-"""Unit tests for virtual clocks and the tracer."""
+"""Unit tests for virtual clocks."""
 
 import pytest
 
-from repro.simkit import Simulator, Tracer, VirtualClock
+from repro.simkit import Simulator, VirtualClock
 
 
 def test_clock_without_error_tracks_sim_time():
@@ -45,59 +45,3 @@ def test_clock_discipline_trims_rate_not_history():
     assert clock.error() == pytest.approx(accumulated, abs=1e-9)
     assert clock.drift_ppm == pytest.approx(0.0)
 
-
-def test_tracer_records_and_filters():
-    sim = Simulator(trace=True)
-    sim.tracer.record("net", "packet sent", size=100)
-    sim.run(until=5.0)
-    sim.tracer.record("render", "frame")
-    assert sim.tracer.count() == 2
-    assert sim.tracer.count("net") == 1
-    net_record = next(sim.tracer.select("net"))
-    assert net_record.time == 0.0
-    assert net_record.fields["size"] == 100
-    assert "packet sent" in str(net_record)
-
-
-def test_tracer_ring_limit():
-    sim = Simulator()
-    tracer = Tracer(sim, limit=10)
-    for i in range(25):
-        tracer.record("cat", f"msg{i}")
-    assert len(tracer.records) == 10
-    assert tracer.dropped == 15
-    assert tracer.records[-1].message == "msg24"
-
-
-def test_tracer_disabled_by_default():
-    assert Simulator().tracer is None
-
-
-def test_tracer_rejects_nonpositive_limit():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Tracer(sim, limit=0)
-
-
-def test_tracer_drop_accounting_property():
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
-    @settings(max_examples=60, deadline=None)
-    @given(limit=st.integers(min_value=1, max_value=50),
-           n_records=st.integers(min_value=0, max_value=150))
-    def check(limit, n_records):
-        """kept + dropped == recorded, and the newest records survive."""
-        sim = Simulator()
-        tracer = Tracer(sim, limit=limit)
-        for i in range(n_records):
-            tracer.record("cat", f"msg{i}")
-        assert len(tracer.records) + tracer.dropped == tracer.recorded
-        assert tracer.recorded == n_records
-        assert len(tracer.records) == min(n_records, limit)
-        if n_records:
-            assert tracer.records[-1].message == f"msg{n_records - 1}"
-        if n_records > limit:
-            assert tracer.records[0].message == f"msg{n_records - limit}"
-
-    check()
