@@ -81,8 +81,10 @@ class Histogram:
     def percentile(self, q: float) -> float:
         """Estimate the ``q``-th percentile (0-100) by bucket interpolation.
 
-        Samples in the overflow bucket clamp to the largest finite bound
-        (consistent with Prometheus ``histogram_quantile``).
+        A rank that falls in the overflow bucket (above the largest
+        finite bound) returns the largest observed sample, not the bound
+        Prometheus ``histogram_quantile`` would clamp to: buckets
+        ``(1, 2)`` with samples ``0.5, 5, 7`` give p99 = 7.0.
         """
         if not 0.0 <= q <= 100.0:
             raise ValueError(f"percentile must be in [0,100], got {q}")

@@ -34,8 +34,13 @@ __all__ = [
 
 def percentile(values: Sequence[float], q: float, default: float = 0.0) -> float:
     """The ``q``-th percentile (0..100) by nearest-rank, ``default`` when
-    empty.  Matches :func:`repro.metrics.stats.summarize` conventions so
-    windowed and lifetime percentiles are comparable."""
+    empty.
+
+    Always returns an observed sample, unlike
+    :func:`repro.metrics.stats.summarize`, which interpolates linearly:
+    for ``[1, 2, 3, 4]`` this gives p50 = 2.0 where ``summarize`` gives
+    2.5.  Control decisions (autoscaler, SLOs, scoreboard) read this
+    definition, so it is part of every replay fingerprint."""
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"percentile out of range: {q}")
     if not values:

@@ -50,6 +50,10 @@ def test_histogram_percentiles_interpolate():
     assert summary["count"] == 4.0
     assert summary["p50"] <= summary["p95"] <= summary["p99"]
     assert Histogram().percentile(50) == 0.0  # empty
+    overflow = Histogram(buckets=(1.0, 2.0))
+    for value in (0.5, 5.0, 7.0):
+        overflow.observe(value)
+    assert overflow.percentile(99) == 7.0  # the observed max, not bound 2.0
     with pytest.raises(ValueError):
         histogram.percentile(101)
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.metrics.latency import LatencyTracker
+from repro.metrics.stats import summarize
 from repro.obs.signals import CounterRate, SampleWindow, percentile
 
 pytestmark = pytest.mark.obs
@@ -56,5 +57,8 @@ def test_percentile_nearest_rank_and_validation():
     assert percentile(values, 50.0) == 3.0
     assert percentile(values, 100.0) == 5.0
     assert percentile([], 95.0, default=2.5) == 2.5
+    # Nearest-rank, not the linear interpolation summarize() uses.
+    assert percentile([1.0, 2.0, 3.0, 4.0], 50.0) == 2.0
+    assert summarize([1.0, 2.0, 3.0, 4.0]).p50 == 2.5
     with pytest.raises(ValueError):
         percentile(values, 101.0)
