@@ -11,7 +11,7 @@ the scaling experiments (C3a) measure.
 
 from repro.sync.client import SyncClient
 from repro.sync.consistency import ConsistencyProbe
-from repro.sync.delta import DeltaEncoder, WorldState
+from repro.sync.delta import BatchDeltaEncoder, DeltaEncoder, WorldState
 from repro.sync.federation import (
     FederatedClient,
     ShardDelta,
@@ -33,6 +33,7 @@ from repro.sync.server import ServerCostModel, SyncServer
 from repro.sync.timesync import NtpSynchronizer, TimeSyncError
 
 __all__ = [
+    "BatchDeltaEncoder",
     "BroadcastInterest",
     "ClientUpdate",
     "FailoverController",

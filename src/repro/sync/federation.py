@@ -163,7 +163,7 @@ class ShardRelay:
         #: last batch interest computation, reused while inputs repeat.
         self._relevant: Optional[tuple] = None
 
-    def _encode_batch(self, src) -> tuple:
+    def _encode(self, src) -> tuple:
         """SoA relay round: the source-local slot block feeds the
         vectorized interest core directly; the union of every remote
         subject's CSR row is delta-encoded in one
@@ -232,7 +232,7 @@ class ShardRelay:
         prof = self.profiler
         if prof.enabled:
             prof.begin("relay_encode")
-        states, removed, full, states_bytes = self._encode_batch(src)
+        states, removed, full, states_bytes = self._encode(src)
         digest = service.home_subscriber_digest(self.src_site)
         if not states and not removed and not digest:
             if prof.enabled:

@@ -82,11 +82,3 @@ class TimePing:
 
     SIZE_BYTES = 48
 
-
-def snapshot_entity_count(snapshots: List[ServerSnapshot]) -> Dict[str, int]:
-    """How many times each entity id appeared across snapshots."""
-    counts: Dict[str, int] = {}
-    for snapshot in snapshots:
-        for state in snapshot.states:
-            counts[state.participant_id] = counts.get(state.participant_id, 0) + 1
-    return counts
