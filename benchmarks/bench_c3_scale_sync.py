@@ -15,7 +15,8 @@ interest query, batched delta encode) across N ∈ {100, 1k, 5k, 10k, 20k}.
 That one measures *real* milliseconds per tick (``time.perf_counter``
 around ``SyncServer.tick_once``), not the modeled sim-clock cost, and is
 what the committed perf budget (``benchmarks/perf_budget.py``) tracks in
-CI.
+CI.  A third run splits the largest sweep point's tick into phases with
+wall-clock spans wrapped around the server's entry points from outside.
 
 Standalone usage (the grid-vs-naive *correctness* check lives in
 ``tests/sync/test_interest_grid.py`` and runs in tier-1; this file is the
@@ -35,9 +36,9 @@ if __package__ in (None, ""):  # direct `python benchmarks/bench_*.py` run
 
 import numpy as np
 
+from benchmarks._emit import phase_breakdown_ms, wall_phase, wall_tracer
 from benchmarks.conftest import emit, header
 from repro.avatar.state import AvatarState
-from repro.obs.profiler import TickProfiler, guard_overhead_pct
 from repro.sensing.pose import Pose
 from repro.simkit import Simulator
 from repro.sync.interest import BroadcastInterest, InterestConfig, InterestManager
@@ -64,9 +65,15 @@ QUICK_SCALE_SIZES = (1000, 10000)
 QUICK_SCALE_TICKS = 3
 #: Acceptance: at N=10000 the shard must hold (modeled) 20 Hz.
 MIN_MODEL_TICK_RATE_10K = 19.0
-#: Acceptance: the profiler's disabled path (a ``prof.enabled`` guard at
-#: each phase boundary) must cost under this share of a measured tick.
-MAX_NOOP_OVERHEAD_PCT = 3.0
+#: Tick phases timed by wrapping the server's own objects: each name maps
+#: to the (attribute of ``SyncServer``, method) whose calls it spans.  The
+#: rest of the tick (compact, subject setup, snapshot build and fan-out)
+#: is reported as ``tick_other``.
+TICK_PHASES = {
+    "apply": ("world", "apply_many"),
+    "interest": ("interest", "relevant_indices_batch"),
+    "delta": ("encoder", "encode_batch"),
+}
 
 
 def run_one(n: int, managed: bool, duration: float = DURATION,
@@ -134,9 +141,16 @@ def report(results, duration):
              f"{pairs_col}")
 
 
+def _span_calls(tracer, name, method):
+    def spanned(*args, **kwargs):
+        with wall_phase(tracer, name):
+            return method(*args, **kwargs)
+    return spanned
+
+
 def run_scale_one(n: int, ticks: int = SCALE_TICKS,
                   churn: float = SCALE_CHURN, seed: int = 3,
-                  profiler=None):
+                  tracer=None):
     """Wall-clock one server's tick at N entities (all subscribed).
 
     The world is seeded and keyframed in an untimed warm-up tick; each
@@ -144,12 +158,17 @@ def run_scale_one(n: int, ticks: int = SCALE_TICKS,
     default — avatars stream pose continuously) and times only
     ``tick_once``: update apply + interest + delta encode + snapshot
     build, free of driver overhead.
+
+    With a wall-clock ``tracer`` (``benchmarks._emit.wall_tracer``), this
+    server's ``tick_once`` and :data:`TICK_PHASES` methods are wrapped,
+    on these instances only, in spans named ``tick`` and after the phase.
+    The wrappers pass every argument and result through, so the tick's
+    outputs are unchanged.
     """
     sim = Simulator(seed=seed)
     interest = InterestManager(InterestConfig(radius_m=8.0, max_entities=30))
     server = SyncServer(sim, tick_rate_hz=20.0, interest=interest,
-                        cost_model=ServerCostModel.vectorized(),
-                        profiler=profiler)
+                        cost_model=ServerCostModel.vectorized())
     for i in range(n):
         server.subscribe(f"u{i}", lambda snapshot: None)
 
@@ -162,6 +181,12 @@ def run_scale_one(n: int, ticks: int = SCALE_TICKS,
     for i in range(n):
         publish(i, 0)
     server.tick_once()             # warm-up: apply the world, keyframe everyone
+    if tracer is not None:
+        server.tick_once = _span_calls(tracer, "tick", server.tick_once)
+        for name, (attr, method) in TICK_PHASES.items():
+            owner = getattr(server, attr)
+            setattr(owner, method,
+                    _span_calls(tracer, name, getattr(owner, method)))
     rng = np.random.default_rng(seed)
     wall_s, model_s = [], []
     for seq in range(1, ticks + 1):
@@ -193,50 +218,41 @@ def report_scale(results):
              f"{row['tick_rate_model']:>9.1f}")
 
 
-def run_profile(n: int, ticks: int = SCALE_TICKS, seed: int = 3,
-                baseline=None):
-    """Phase-profile the tick at N and price the off switch.
+def run_profile(n: int, ticks: int = SCALE_TICKS, seed: int = 3):
+    """Split the tick at N into wall-clock phases, from outside.
 
-    One instrumented repeat of the sweep's biggest config
-    yields the per-phase self-time table (apply / interest / delta /
-    serialize); ``guard_overhead_pct`` then times the *disabled* path —
-    the ``prof.enabled`` guards the hot loop always executes — against
-    the unprofiled baseline tick, which is the honest cost of shipping
-    the instrumentation turned off.
+    One traced repeat of the sweep's biggest config: :data:`TICK_PHASES`
+    totals come from their spans, and ``tick_other`` is the ``tick``
+    spans' total minus those, so the phases partition the measured tick.
+    Returns ``{"tick_ms", "phases"}`` with phases in ms, hottest first.
     """
-    if baseline is None:
-        baseline = run_scale_one(n, ticks, seed=seed)
-    profiler = TickProfiler()
-    profiled = run_scale_one(n, ticks, seed=seed, profiler=profiler)
+    tracer = wall_tracer()
+    run_scale_one(n, ticks, seed=seed, tracer=tracer)
+    totals = phase_breakdown_ms(tracer)
+    phases = {name: totals.get(name, 0.0) for name in TICK_PHASES}
+    phases["tick_other"] = totals["tick"] - sum(phases.values())
     return {
-        "profiler": profiler,
-        "baseline_wall_ms": baseline["wall_ms_per_tick"],
-        "profiled_wall_ms": profiled["wall_ms_per_tick"],
-        "noop_guard_overhead_pct": guard_overhead_pct(
-            baseline["wall_ms_per_tick"] / 1e3),
+        "tick_ms": totals["tick"],
+        "phases": dict(sorted(phases.items(), key=lambda kv: -kv[1])),
     }
 
 
 def report_profile(profile, n):
-    header(f"C3a — Tick-phase self-time profile (N={n})")
-    for line in profile["profiler"].table().splitlines():
-        emit(f"  {line}")
-    emit(f"  profiled tick {profile['profiled_wall_ms']:.2f} ms vs "
-         f"unprofiled {profile['baseline_wall_ms']:.2f} ms")
-    emit(f"  disabled-path guard overhead: "
-         f"{profile['noop_guard_overhead_pct']:.4f}% of a tick "
-         f"(budget {MAX_NOOP_OVERHEAD_PCT:.0f}%)")
+    header(f"C3a — Tick-phase wall-clock profile (N={n})")
+    emit(f"  {'phase':<12} {'self ms':>9} {'share':>6}")
+    for name, ms in profile["phases"].items():
+        emit(f"  {name:<12} {ms:>9.2f} {ms / profile['tick_ms']:>6.1%}")
+    emit(f"  {'tick':<12} {profile['tick_ms']:>9.2f}")
 
 
 def check_profile(profile):
-    """Profiler acceptance gates (raises on violation)."""
-    if not profile["profiler"].hot_phases():
-        raise SystemExit("profiled run recorded no tick phases")
-    pct = profile["noop_guard_overhead_pct"]
-    if pct >= MAX_NOOP_OVERHEAD_PCT:
+    """Profile acceptance gate: the phases partition a measured tick
+    (raises on violation)."""
+    phases = profile["phases"]
+    if profile["tick_ms"] <= 0 or min(phases.values()) < 0:
         raise SystemExit(
-            f"profiler disabled-path guards cost {pct:.3f}% of a tick "
-            f"(budget {MAX_NOOP_OVERHEAD_PCT}%)")
+            f"tick phases {phases} do not partition the measured "
+            f"{profile['tick_ms']:.3f} ms tick")
 
 
 def check_scale(results):
@@ -311,7 +327,7 @@ def main(argv=None):
     scale = run_scale(scale_sizes, scale_ticks)
     report_scale(scale)
     profile_n = scale_sizes[-1]
-    profile = run_profile(profile_n, scale_ticks, baseline=scale[profile_n])
+    profile = run_profile(profile_n, scale_ticks)
     report_profile(profile, profile_n)
     biggest = results[(sizes[-1], True)]
     # Keys keep the ``vec_`` prefix the committed perf-budget baseline uses.
@@ -333,11 +349,9 @@ def main(argv=None):
             "scale": scale_params,
             "profile": {
                 "n": profile_n,
-                "noop_guard_overhead_pct": round(
-                    profile["noop_guard_overhead_pct"], 4),
                 "hot_phases": {
-                    name: round(row["total_s"] * 1e3, 3)
-                    for name, row in profile["profiler"].hot_phases(4)
+                    name: round(ms, 3)
+                    for name, ms in profile["phases"].items()
                 },
             },
         },

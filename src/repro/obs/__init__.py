@@ -20,10 +20,12 @@ under ~100 ms end to end — is only checkable if the simulator can say
   multi-window burn-rate alerting (healthy/warning/breach + hysteresis);
 * :mod:`repro.obs.flight` — a bounded flight recorder that dumps
   schema-validated ``INCIDENT_<id>.json`` (+ Perfetto trace) on breach;
-* :mod:`repro.obs.profiler` — a zero-dep tick-phase profiler with
-  per-phase self-time histograms and a top-k hot-phase table;
 * :mod:`repro.obs.scoreboard` — per-client rolling QoE performance and
   fuzzy cybersickness gauges, the adaptation loop's single surface.
+
+Nothing here reads the wall clock.  Where a server tick's real time goes
+is measured from outside the library: the benchmarks wrap the data
+plane's entry points in spans of a ``SpanTracer`` built on a wall clock.
 """
 
 from repro.obs.export import (
@@ -39,13 +41,6 @@ from repro.obs.flight import (
     validate_incident,
 )
 from repro.obs.harness import MotionToPhotonHarness, MtpProbeConfig
-from repro.obs.profiler import (
-    NOOP_PROFILER,
-    PROFILE_BUCKETS,
-    NoopProfiler,
-    TickProfiler,
-    guard_overhead_pct,
-)
 from repro.obs.scoreboard import ClientScore, QoeScoreboard
 from repro.obs.slo import (
     BREACH,
@@ -86,7 +81,6 @@ __all__ = [
     "percentile",
     "MTP_STAGES",
     "NOOP_CONTEXT",
-    "NOOP_PROFILER",
     "NOOP_SPAN",
     "NOOP_TRACER",
     "LATENCY_BUDGET_S",
@@ -95,9 +89,7 @@ __all__ = [
     "MotionToPhotonHarness",
     "MotionToPhotonReport",
     "MtpProbeConfig",
-    "NoopProfiler",
     "NoopTracer",
-    "PROFILE_BUCKETS",
     "QoeScoreboard",
     "SloEngine",
     "SloSpec",
@@ -106,10 +98,8 @@ __all__ = [
     "Span",
     "SpanContext",
     "SpanTracer",
-    "TickProfiler",
     "TraceSummary",
     "chrome_trace",
-    "guard_overhead_pct",
     "metrics_json",
     "prometheus_text",
     "report_json",

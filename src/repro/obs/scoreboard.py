@@ -20,7 +20,7 @@ that bridge:
   model steps in 1 s increments) — the cybersickness state under an
   exposure whose motion-to-photon term is the client's live latency;
 * :meth:`to_registry` exports everything as ``client``-labeled gauge
-  families, the same surface the SLO engine and profiler use.
+  families, the same surface the SLO engine uses.
 """
 
 from __future__ import annotations

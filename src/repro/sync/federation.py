@@ -137,7 +137,6 @@ class ShardRelay:
         link: Link,
         interest: InterestManager,
         encoder: BatchDeltaEncoder,
-        profiler=None,
     ):
         self.service = service
         self.src_site = src_site
@@ -145,10 +144,6 @@ class ShardRelay:
         self.link = link
         self.interest = interest
         self.encoder = encoder
-        if profiler is None:
-            from repro.obs.profiler import NOOP_PROFILER
-            profiler = NOOP_PROFILER
-        self.profiler = profiler
         #: Latest digest from the destination: its home subscribers'
         #: positions, the subjects this relay computes relevance for.
         self.remote_subjects: Dict[str, np.ndarray] = {}
@@ -229,17 +224,10 @@ class ShardRelay:
         src = service.shards.get(self.src_site)
         if src is None or src.crashed:
             return None
-        prof = self.profiler
-        if prof.enabled:
-            prof.begin("relay_encode")
         states, removed, full, states_bytes = self._encode(src)
         digest = service.home_subscriber_digest(self.src_site)
         if not states and not removed and not digest:
-            if prof.enabled:
-                prof.end()
             return None
-        if prof.enabled:
-            prof.switch("relay_send")
         delta = ShardDelta(
             src_site=self.src_site,
             dst_site=self.dst_site,
@@ -271,8 +259,6 @@ class ShardRelay:
         self.states_forwarded += len(states)
         self.bytes_sent += delta.size_bytes
         self.link.send(packet, service._on_shard_delta_packet)
-        if prof.enabled:
-            prof.end()
         return delta
 
 
@@ -329,7 +315,6 @@ class ShardedSyncService:
         default_inter_shard_delay: float = 0.02,
         default_access_delay: float = 0.005,
         name: str = "fed",
-        profiler=None,
     ):
         if not plan.sites:
             raise ValueError("plan has no sites")
@@ -372,12 +357,6 @@ class ShardedSyncService:
         #: stops a relay from echoing a ghost back to where it came from.
         self.entity_home: Dict[str, str] = {}
         self.clients: Dict[str, FederatedClient] = {}
-        if profiler is None:
-            from repro.obs.profiler import NOOP_PROFILER
-            profiler = NOOP_PROFILER
-        #: One tick-phase profiler shared by every shard and relay, so
-        #: the hot-phase table spans the whole federation.
-        self.profiler = profiler
         #: Owner code per site (1-based; ``OWNER_LOCAL`` = 0 marks locally
         #: authoritative slots).  Ghost entities applied from a relay are
         #: tagged with their home shard's code straight in the world's SoA
@@ -411,7 +390,6 @@ class ShardedSyncService:
             interest=InterestManager(self.interest_config),
             cost_model=self._cost_model,
             keyframe_interval=self._keyframe_interval,
-            profiler=self.profiler,
         )
 
     def _make_relay(self, src: str, dst: str) -> ShardRelay:
@@ -425,7 +403,6 @@ class ShardedSyncService:
             interest=InterestManager(self.interest_config),
             encoder=BatchDeltaEncoder(
                 keyframe_interval=self._keyframe_interval),
-            profiler=self.profiler,
         )
 
     # -- geography ---------------------------------------------------------

@@ -94,18 +94,9 @@ class SyncServer:
         cost_model: ServerCostModel = ServerCostModel(),
         keyframe_interval: int = 30,
         metrics: Optional[MetricsRegistry] = None,
-        profiler=None,
     ):
         if tick_rate_hz <= 0:
             raise ValueError("tick rate must be positive")
-        if profiler is None:
-            # Imported lazily: repro.obs pulls in the MTP harness, which
-            # imports this module (same cycle simkit.engine dodges).
-            from repro.obs.profiler import NOOP_PROFILER
-            profiler = NOOP_PROFILER
-        #: Tick-phase profiler (``repro.obs.profiler``); the shared no-op
-        #: by default, so the hot path pays one guard per phase boundary.
-        self.profiler = profiler
         self.sim = sim
         self.name = name
         self.tick_period = 1.0 / tick_rate_hz
@@ -328,10 +319,7 @@ class SyncServer:
         touches each *sent* state once, in the snapshot list build.
         """
         obs = self.sim.obs
-        prof = self.profiler
         world = self.world
-        if prof.enabled:
-            prof.begin("apply")
         updates, self._pending = self._pending, []
         if updates:
             world.apply_many([update.state for update in updates])
@@ -360,15 +348,11 @@ class SyncServer:
             int(inverse[world.slot_of(e)])
             for e in self.interest.config.always_relevant if e in world
         ), dtype=np.int64)
-        if prof.enabled:
-            prof.switch("interest")
         offsets, flat = self.interest.relevant_indices_batch(
             points, subject_points, self_rows, always_rows,
             world.lexicographic_ranks())
         pairs_scanned = self.interest.last_pairs_scanned
         flat_slots = slots[flat] if len(flat) else flat
-        if prof.enabled:
-            prof.switch("delta")
         send_mask, full_flags, removed_lists = self.encoder.encode_batch(
             world, sub_ids, offsets, flat_slots)
 
@@ -396,8 +380,6 @@ class SyncServer:
             ) / max(1, s)
         spanned: set = set()
 
-        if prof.enabled:
-            prof.switch("serialize")
         states_sent = 0
         # One flat zero-copy pass over everything sent this tick (CSR
         # order groups it by subscriber already); the per-subscriber loop
@@ -454,8 +436,6 @@ class SyncServer:
             self.metrics.incr("snapshot_bytes", snapshot.size_bytes)
             self.metrics.incr("snapshots_sent")
             sends[i](snapshot)
-        if prof.enabled:
-            prof.end()
         cost = self.cost_model.tick_cost(
             len(updates), states_sent, pairs_scanned)
         if obs.enabled:

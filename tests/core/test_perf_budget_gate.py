@@ -99,3 +99,27 @@ def test_committed_baseline_matches_current_sweep_shape():
     expected = {f"vec_{n}" for n in QUICK_SCALE_SIZES}
     baseline = json.loads(perf_budget.BASELINE_PATH.read_text())
     assert set(baseline["wall_ms_per_tick"]) == expected
+
+
+def test_outside_in_tick_profile_partitions_tick_and_changes_nothing(
+        monkeypatch):
+    """C3a's phase spans wrap the server from outside: the tick's outputs
+    are unchanged, and the phases partition the ``tick`` spans."""
+    from benchmarks import bench_c3_scale_sync as c3a
+    from benchmarks._emit import wall_tracer
+
+    plain = c3a.run_scale_one(300, ticks=2)
+    traced = c3a.run_scale_one(300, ticks=2, tracer=wall_tracer())
+    assert traced["tick_cost_model_ms"] == plain["tick_cost_model_ms"]
+
+    tracer = wall_tracer()
+    monkeypatch.setattr(c3a, "wall_tracer", lambda: tracer)
+    profile = c3a.run_profile(300, ticks=2)
+    phases = profile["phases"]
+    assert set(phases) == {"apply", "interest", "delta", "tick_other"}
+    assert all(ms >= 0 for ms in phases.values())
+    ticks = [span for span in tracer.spans() if span.name == "tick"]
+    assert len(ticks) == 2
+    tick_total_ms = sum(span.duration for span in ticks) * 1e3
+    assert sum(phases.values()) == pytest.approx(tick_total_ms)
+    c3a.check_profile(profile)
