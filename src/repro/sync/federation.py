@@ -58,7 +58,9 @@ report then shows shard-relay latency as its own budget line.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -428,6 +430,11 @@ class ShardedSyncService:
             return rtt / 2.0
         return self.default_access_delay
 
+    def nearest_sites(self, user_id: str, sites: Iterable[str]) -> List[str]:
+        """``sites`` ordered nearest-first for ``user_id``: by access
+        delay, ties broken by site name so replays are byte-identical."""
+        return sorted(sites, key=lambda s: (self.access_delay(user_id, s), s))
+
     def _access_link(self, user_id: str, site: str, direction: str) -> Link:
         key = (user_id, site, direction)
         link = self._access_links.get(key)
@@ -613,9 +620,7 @@ class ShardedSyncService:
                 "drain them first")
         for user_id, assigned in list(self.home.items()):
             if assigned == site:
-                self.home[user_id] = min(
-                    survivors,
-                    key=lambda s: (self.access_delay(user_id, s), s))
+                self.home[user_id] = self.nearest_sites(user_id, survivors)[0]
                 self.plan.assignment[user_id] = self.home[user_id]
         for key in [k for k in self.relays if site in k]:
             self.relays.pop(key).stopped = True
@@ -639,10 +644,7 @@ class ShardedSyncService:
             if federated.home == site
         )
         for user_id in drained:
-            target = min(
-                survivors,
-                key=lambda s: (self.access_delay(user_id, s), s))
-            self.move_user(user_id, target)
+            self.move_user(user_id, self.nearest_sites(user_id, survivors)[0])
         self.decommission_site(site)
         return drained
 
@@ -901,10 +903,9 @@ class ShardHandoffController:
                 detection_timeout=self.detection_timeout,
                 check_period=self.check_period,
             )
-            standbys = sorted(
-                (site for site in service.shards if site != federated.home),
-                key=lambda site: (service.access_delay(user_id, site), site),
-            )
+            standbys = service.nearest_sites(
+                user_id,
+                (site for site in service.shards if site != federated.home))
             for site in standbys:
                 controller.add_standby(
                     service.shards[site],
@@ -927,9 +928,8 @@ class ShardHandoffController:
                 return
             for user_id, site in list(service.home.items()):
                 if site == dead_site:
-                    service.home[user_id] = min(
-                        survivors,
-                        key=lambda s: (service.access_delay(user_id, s), s))
+                    service.home[user_id] = service.nearest_sites(
+                        user_id, survivors)[0]
         service.metrics.incr("handoffs_crash")
         self.events.append((self.sim.now, "rehome", dead_site))
 
