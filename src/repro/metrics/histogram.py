@@ -48,10 +48,10 @@ class Histogram:
         self.max = float("-inf")
 
     def observe(self, value: float) -> None:
-        """Record one sample."""
+        """Record one sample (>= 0; +inf lands in the overflow bucket)."""
         value = float(value)
-        if value < 0:
-            raise ValueError(f"negative sample: {value}")
+        if not value >= 0:  # also rejects NaN, which compares false
+            raise ValueError(f"sample must be >= 0, got {value}")
         self.count += 1
         self.sum += value
         if value > self.max:

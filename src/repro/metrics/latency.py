@@ -15,8 +15,9 @@ class LatencyTracker:
         self.samples: List[float] = []
 
     def record(self, seconds: float) -> None:
-        if seconds < 0:
-            raise ValueError(f"negative latency sample: {seconds}")
+        if not seconds >= 0:  # also rejects NaN, which compares false
+            raise ValueError(
+                f"latency sample must be >= 0, got {seconds}")
         self.samples.append(float(seconds))
 
     def __len__(self) -> int:

@@ -36,8 +36,12 @@ def test_histogram_cumulative_buckets_and_overflow():
     assert histogram.count == 5
     assert histogram.sum == pytest.approx(5.605)
     assert histogram.max == 5.0
-    with pytest.raises(ValueError):
-        histogram.observe(-0.1)
+    for bad in (-0.1, float("nan")):
+        with pytest.raises(ValueError):
+            histogram.observe(bad)
+    assert histogram.count == 5
+    histogram.observe(float("inf"))  # a legal overflow sample
+    assert histogram.count == 6
 
 
 def test_histogram_percentiles_interpolate():

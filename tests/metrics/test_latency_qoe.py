@@ -22,8 +22,10 @@ def test_latency_tracker_records_and_summarizes():
 
 def test_latency_tracker_rejects_negative():
     tracker = LatencyTracker()
-    with pytest.raises(ValueError):
-        tracker.record(-0.1)
+    for bad in (-0.1, float("nan")):
+        with pytest.raises(ValueError):
+            tracker.record(bad)
+    assert tracker.samples == []
 
 
 def test_latency_tracker_fraction_above():
