@@ -1,11 +1,11 @@
 """World state and per-client delta encoding.
 
 The world is stored **structure-of-arrays**: positions, orientations,
-per-entity ``(epoch, seq)`` versions and wire sizes live in contiguous
-numpy arrays indexed by *slot*, with a stable ``id -> slot`` mapping for
-the lifetime of each entity (``WorldState`` keeps the familiar
-``entities`` dict view in lock-step for id-keyed lookups).  The SoA
-arrays are the canonical representation the sync tick consumes
+per-entity ``(epoch, seq)`` versions, wire sizes and write stamps live
+in contiguous numpy arrays indexed by *slot*, with a stable ``id ->
+slot`` mapping for the lifetime of each entity (``WorldState`` keeps
+the familiar ``entities`` dict view in lock-step for id-keyed lookups).
+The SoA arrays are the canonical representation the sync tick consumes
 directly — interest management and the batched delta encoder read them
 without rebuilding per-id dictionaries.
 
@@ -46,14 +46,25 @@ _BASE_WIRE_BYTES = 16 + QuantizationConfig().pose_bytes
 
 _INITIAL_CAPACITY = 64
 
+_NO_ROWS = np.zeros(0, dtype=np.int64)
+_SLOT_MASK = np.int64(0xFFFFFFFF)
+
+
+def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(a, a + c) for a, c in zip(starts, counts)])``
+    without the Python loop: the gather index of CSR row slices."""
+    return np.repeat(starts - (np.cumsum(counts) - counts), counts) + \
+        np.arange(int(counts.sum()), dtype=np.int64)
+
 
 class WorldState:
     """The authoritative set of entity states, versioned by (epoch, seq).
 
     Structure-of-arrays backing: each live entity occupies one *slot*;
     ``positions[slot]``, ``orientations[slot]``, ``epochs[slot]``,
-    ``seqs[slot]`` and ``wire_sizes[slot]`` are the canonical copies the
-    sync tick reads.  Slots are stable while an entity lives;
+    ``seqs[slot]``, ``wire_sizes[slot]`` and ``stamps[slot]`` are the
+    canonical copies the sync tick reads.  Slots are stable while an
+    entity lives;
     removal frees the slot for reuse and appends to a removal log that
     batch encoders drain (so a reused slot can never be mistaken for the
     entity that used to live there).
@@ -72,6 +83,10 @@ class WorldState:
         self.epochs = np.full(capacity, -1, dtype=np.int64)
         self.wire_sizes = np.zeros(capacity, dtype=np.int64)
         self.owners = np.full(capacity, OWNER_LOCAL, dtype=np.int32)
+        #: ``version`` at each slot's last write (apply or remove), the
+        #: change record the sync tick's interest reuse reads: a slot was
+        #: written since version ``v`` iff its stamp is greater than ``v``.
+        self.stamps = np.zeros(capacity, dtype=np.int64)
         self._alive = np.zeros(capacity, dtype=bool)
         self._slot_ids: List[Optional[str]] = [None] * capacity
         self._slot_states: List[Optional[AvatarState]] = [None] * capacity
@@ -107,6 +122,8 @@ class WorldState:
             [self.wire_sizes, np.zeros(old, dtype=np.int64)])
         self.owners = np.concatenate(
             [self.owners, np.full(old, OWNER_LOCAL, dtype=np.int32)])
+        self.stamps = np.concatenate(
+            [self.stamps, np.zeros(old, dtype=np.int64)])
         self._alive = np.concatenate([self._alive, np.zeros(old, dtype=bool)])
         self._slot_ids.extend([None] * old)
         self._slot_states.extend([None] * old)
@@ -151,6 +168,7 @@ class WorldState:
         self._slot_states[slot] = state
         self.entities[entity_id] = state
         self.version += 1
+        self.stamps[slot] = self.version
         return True
 
     def apply_many(self, states: List[AvatarState],
@@ -204,6 +222,7 @@ class WorldState:
             slot_states[slot] = st
             entities[st.participant_id] = st
         self.version += m
+        self.stamps[slots] = self.version
         return m
 
     def remove(self, participant_id: str) -> None:
@@ -222,6 +241,7 @@ class WorldState:
         self._compact_cache = None
         self._rank_cache = None
         self.version += 1
+        self.stamps[slot] = self.version
 
     # -- queries -----------------------------------------------------------
 
@@ -376,24 +396,31 @@ class BatchDeltaEncoder:
     """All subscribers' deltas for one world in a single vectorized pass.
 
     Seen state is a sparse subscribers x entities structure: one sorted
-    int64 key array (``row << 32 | slot``) with parallel ``(epoch, seq)``
-    arrays.  Each :meth:`encode_batch` call
+    int64 key array (``row << 32 | slot``, so each row's entries are
+    contiguous and slot-ascending) with parallel arrays of the ``(epoch,
+    seq)`` each row has seen.  Each :meth:`encode_batch` call
 
     1. drains the world's removal log — entries whose slot died become
        pending removals for every row that had seen them (and are purged,
        so slot reuse can never alias a dead entity);
-    2. builds the current relevance CSR's key array and joins it against
-       the seen keys with one ``searchsorted``: an entry is *sent* when
-       its row is keyframing, it was never seen, or its world
-       ``(epoch, seq)`` moved;
-    3. emits per-row removals for seen entries that left relevance;
-    4. replaces the rows' seen entries with the relevance CSR stamped at
-       the current world versions (every relevant live entity is seen
-       after an encode — unsent entries were already at the world
-       version, which is what made them unsent).
+    2. splits the rows.  A row whose slots equal its seen entries slot
+       for slot, with no pending removals, is *unchanged* and reads its
+       seen versions in place, a gather.  Every other row joins its slots
+       against its seen keys with one ``searchsorted``;
+    3. sends an entry when its row is keyframing, it was never seen, or
+       its world ``(epoch, seq)`` moved past the seen one;
+    4. resolves the joined rows' pending entries and emits removals for
+       their seen entries that left relevance;
+    5. records what was sent, as the reference does: a sent entry is
+       seen at its world version, an unsent one keeps its seen version
+       (higher than the world's after a suppressed stale re-add).
+       Unchanged rows update in place; only joined rows are re-laid out.
 
-    Keyframe cadence matches the reference :class:`DeltaEncoder`
-    exactly, including reset-only-when-sent.
+    Rows given in ascending slot order (the server's are) take the
+    unchanged path whenever their set repeats; rows in any other order
+    are encoded just as exactly, through the join.  Keyframe cadence
+    matches the reference :class:`DeltaEncoder` exactly, including
+    reset-only-when-sent.
 
     Rows released by :meth:`forget` go on a free list and are reused, so
     the per-row arrays stay bounded under subscriber churn.  Output does
@@ -407,6 +434,9 @@ class BatchDeltaEncoder:
         self._row_of: Dict[str, int] = {}
         self._next_row = 0
         self._free_rows: List[int] = []
+        #: ``(subscriber ids, rows)`` of the last call: the row lookup
+        #: runs again only when the subscriber list changes.
+        self._rows_cache: Tuple[List[str], np.ndarray] = ([], _NO_ROWS)
         self._ticks = np.zeros(0, dtype=np.int64)     # indexed by row
         self._row_counts = np.zeros(0, dtype=np.int64)
         self._keys = np.zeros(0, dtype=np.int64)      # sorted row<<32|slot
@@ -432,11 +462,9 @@ class BatchDeltaEncoder:
                 self._next_row += 1
             self._row_of[subscriber_id] = row
             if row >= len(self._ticks):
-                grow = max(64, len(self._ticks))
-                self._ticks = np.concatenate(
-                    [self._ticks, np.zeros(grow, dtype=np.int64)])
-                self._row_counts = np.concatenate(
-                    [self._row_counts, np.zeros(grow, dtype=np.int64)])
+                grow = np.zeros(max(64, len(self._ticks)), dtype=np.int64)
+                self._ticks = np.concatenate([self._ticks, grow])
+                self._row_counts = np.concatenate([self._row_counts, grow])
         return row
 
     def forget(self, subscriber_id: str) -> None:
@@ -453,19 +481,7 @@ class BatchDeltaEncoder:
         self._ticks[row] = 0
         self._pending.pop(row, None)
         self._free_rows.append(row)
-
-    def acked_seq(self, subscriber_id: str, entity_id: str,
-                  world: WorldState) -> Optional[int]:
-        """Last seq sent to ``subscriber_id`` for ``entity_id`` (or None)."""
-        row = self._row_of.get(subscriber_id)
-        slot = world.slot_of(entity_id)
-        if row is None or slot is None:
-            return None
-        key = np.int64((row << 32) | slot)
-        pos = int(np.searchsorted(self._keys, key))
-        if pos < len(self._keys) and self._keys[pos] == key:
-            return int(self._seqs[pos])
-        return None
+        self._rows_cache = ([], _NO_ROWS)
 
     # -- the vectorized pass ----------------------------------------------
 
@@ -482,7 +498,7 @@ class BatchDeltaEncoder:
             for entity_id, slot in log[self._log_drained:]:
                 dead_id_at.setdefault(slot, entity_id)
             dead_slots = np.asarray(sorted(dead_id_at), dtype=np.int64)
-            slots = self._keys & np.int64(0xFFFFFFFF)
+            slots = self._keys & _SLOT_MASK
             dead_mask = np.isin(slots, dead_slots)
             if dead_mask.any():
                 for key, epoch, seq in zip(
@@ -520,15 +536,16 @@ class BatchDeltaEncoder:
         """
         self._drain_removal_log(world)
         n_subs = len(subscriber_ids)
-        rows = np.fromiter(
-            (self._row(sub) for sub in subscriber_ids),
-            dtype=np.int64, count=n_subs)
+        cached_ids, rows = self._rows_cache
+        if cached_ids != subscriber_ids:
+            rows = np.fromiter((self._row(sub) for sub in subscriber_ids),
+                               dtype=np.int64, count=n_subs)
+            self._rows_cache = (list(subscriber_ids), rows)
         offsets = np.asarray(offsets, dtype=np.int64)
-        counts = np.diff(offsets)
-        row_repeat = np.repeat(rows, counts)
-        local_repeat = np.repeat(np.arange(n_subs, dtype=np.int64), counts)
         flat_slots = np.asarray(flat_slots, dtype=np.int64)
-        cur_keys = (row_repeat << np.int64(32)) | flat_slots
+        counts = np.diff(offsets)
+        local_repeat = np.repeat(np.arange(n_subs, dtype=np.int64), counts)
+        row_repeat = rows[local_repeat]
         cur_epochs = world.epochs[flat_slots]
         cur_seqs = world.seqs[flat_slots]
 
@@ -536,101 +553,114 @@ class BatchDeltaEncoder:
         # anything" rows also keyframe (the joiner path).  Pending entries
         # count as seen — the reference encoder's seen dict still holds dead
         # entities at this point of its encode.
-        has_pending = np.fromiter(
-            (int(row) in self._pending for row in rows),
-            dtype=bool, count=n_subs)
+        local_of = np.full(len(self._ticks), -1, dtype=np.int64)
+        local_of[rows] = np.arange(n_subs, dtype=np.int64)
+        has_pending = np.zeros(n_subs, dtype=bool)
+        if self._pending:
+            pending_local = local_of[list(self._pending)]
+            has_pending[pending_local[pending_local >= 0]] = True
         ticks = self._ticks[rows] + 1
         full_flags = (ticks >= self.keyframe_interval) | \
             ((self._row_counts[rows] == 0) & ~has_pending)
 
-        # Join current relevance against the seen structure.
-        if len(self._keys):
-            pos = np.searchsorted(self._keys, cur_keys)
-            pos_clipped = np.minimum(pos, len(self._keys) - 1)
-            matched = self._keys[pos_clipped] == cur_keys
-            seen_ep = np.where(matched, self._epochs[pos_clipped], -1)
-            seen_seq = np.where(matched, self._seqs[pos_clipped], -1)
-            changed = (~matched) | (seen_ep < cur_epochs) | \
-                ((seen_ep == cur_epochs) & (seen_seq < cur_seqs))
-        else:
-            changed = np.ones(len(cur_keys), dtype=bool)
-        send_mask = np.repeat(full_flags, counts) | changed
+        # Unchanged rows equal their seen entries slot for slot and read
+        # their seen versions in place; the rest (and every row with
+        # pending removals) join against their seen keys.
+        starts = np.cumsum(self._row_counts) - self._row_counts
+        seen_at = concat_ranges(starts[rows], counts)
+        join = has_pending | (counts != self._row_counts[rows])
+        same = ~join[local_repeat]
+        same[same] = (self._keys[seen_at[same]] & _SLOT_MASK) \
+            == flat_slots[same]
+        join[local_repeat[~same]] = True
+        join_at = np.flatnonzero(join)
+        joined = join[local_repeat]
+        join_rows = np.sort(rows[join_at])
+        seen_counts = self._row_counts[join_rows]
+        seen_pos = concat_ranges(starts[join_rows], seen_counts)
+        seen_keys = self._keys[seen_pos]
+        join_keys = (row_repeat[joined] << np.int64(32)) | flat_slots[joined]
+        # Where each entry's seen version lives; ``len(keys)`` (a -1
+        # sentinel past the end) means never seen.  Keys are >= 0.
+        none = len(self._keys)
+        seen_from = np.where(joined, none, seen_at)
+        found = np.searchsorted(seen_keys, join_keys)
+        seen_from[joined] = np.where(
+            np.append(seen_keys, -1)[found] == join_keys,
+            np.append(seen_pos, none)[found], none)
+        seen_epochs = np.append(self._epochs, -1)[seen_from]
+        seen_seqs = np.append(self._seqs, -1)[seen_from]
+        send_mask = full_flags[local_repeat] | (seen_epochs < cur_epochs) \
+            | ((seen_epochs == cur_epochs) & (seen_seqs < cur_seqs))
 
-        # Removals: seen entries of these rows that left relevance, plus
-        # pending entries from world removals.  A pending id that is alive
+        # Removals: pending entries from world removals, then seen entries
+        # of joined rows that left relevance.  A pending id that is alive
         # and relevant again restores stale-suppression instead (matching
         # the reference encoder, whose seen dict survives remove + re-add).
-        order = np.argsort(cur_keys, kind="stable")
-        sorted_cur_keys = cur_keys[order]
         removed_lists: List[List[str]] = [[] for _ in range(n_subs)]
-        row_index = {int(row): i for i, row in enumerate(rows)}
         for row, pending in list(self._pending.items()):
-            i = row_index.get(row)
-            if i is None:
+            i = int(local_of[row])
+            if i < 0:
                 continue
             del self._pending[row]
             lo, hi = int(offsets[i]), int(offsets[i + 1])
-            for entity_id, seen_epoch, seen_seq_v in pending:
+            for entity_id, seen_epoch, seen_seq in pending:
                 slot = world.slot_of(entity_id)
                 if slot is not None:
                     at = np.flatnonzero(flat_slots[lo:hi] == slot)
                     if len(at):
-                        if not full_flags[i] and (seen_epoch, seen_seq_v) >= (
-                                int(cur_epochs[lo + at[0]]),
-                                int(cur_seqs[lo + at[0]])):
-                            send_mask[lo + at[0]] = False
+                        at = lo + at[0]
+                        if not full_flags[i] and (seen_epoch, seen_seq) >= (
+                                int(cur_epochs[at]), int(cur_seqs[at])):
+                            send_mask[at] = False
+                            seen_epochs[at], seen_seqs[at] = \
+                                seen_epoch, seen_seq
                         continue
                 removed_lists[i].append(entity_id)
-        if len(self._keys):
-            in_batch = np.zeros(len(self._row_counts), dtype=bool)
-            in_batch[rows] = True
-            batch_rows = in_batch[self._keys >> np.int64(32)]
-            stale = batch_rows.copy()
-            stale_at = np.flatnonzero(stale)
-            if len(stale_at) and len(sorted_cur_keys):
-                stale_keys = self._keys[stale_at]
-                pos = np.minimum(np.searchsorted(sorted_cur_keys, stale_keys),
-                                 len(sorted_cur_keys) - 1)
-                in_cur = sorted_cur_keys[pos] == stale_keys
-                stale[stale_at[in_cur]] = False
-            for key in self._keys[stale].tolist():
-                removed_lists[row_index[key >> 32]].append(
-                    world.id_at(key & 0xFFFFFFFF))
-            # These rows' entries are replaced by the current relevance.
-            keep = ~batch_rows
-            kept_keys = self._keys[keep]
-            kept_epochs = self._epochs[keep]
-            kept_seqs = self._seqs[keep]
-        else:
-            kept_keys = self._keys
-            kept_epochs = self._epochs
-            kept_seqs = self._seqs
+        order = np.argsort(join_keys, kind="stable")
+        keys = join_keys[order]
+        gone = np.append(keys, -1)[np.searchsorted(keys, seen_keys)] \
+            != seen_keys
+        for key in seen_keys[gone].tolist():
+            removed_lists[local_of[key >> 32]].append(
+                world.id_at(key & 0xFFFFFFFF))
 
-        # New seen state: the relevance CSR stamped at the current world
-        # versions (unsent entries were already at the world version).
-        new_keys = sorted_cur_keys
-        new_epochs = cur_epochs[order]
-        new_seqs = cur_seqs[order]
-        if len(kept_keys):
-            merged = np.concatenate([kept_keys, new_keys])
-            merge_order = np.argsort(merged, kind="stable")
-            self._keys = merged[merge_order]
-            self._epochs = np.concatenate(
-                [kept_epochs, new_epochs])[merge_order]
-            self._seqs = np.concatenate([kept_seqs, new_seqs])[merge_order]
-        else:
-            self._keys = new_keys
-            self._epochs = new_epochs
-            self._seqs = new_seqs
-        self._row_counts[rows] = counts
+        # New seen state, as the reference keeps it: a sent entry is seen
+        # at its world version, an unsent one keeps the version it had.
+        # Unchanged rows update their sent entries in place; joined rows'
+        # entries become their current slots, in place too while no
+        # joined row changes size.
+        sent_on = send_mask & ~joined
+        self._epochs[seen_at[sent_on]] = cur_epochs[sent_on]
+        self._seqs[seen_at[sent_on]] = cur_seqs[sent_on]
+        if len(join_at):
+            sent = send_mask[joined]
+            epochs = np.where(sent, cur_epochs[joined],
+                              seen_epochs[joined])[order]
+            seqs = np.where(sent, cur_seqs[joined], seen_seqs[joined])[order]
+            new_counts = self._row_counts.copy()
+            new_counts[rows[join_at]] = counts[join_at]
+            joined_counts = new_counts[join_rows]
+            if np.array_equal(joined_counts, seen_counts):
+                self._keys[seen_pos] = keys
+                self._epochs[seen_pos] = epochs
+                self._seqs[seen_pos] = seqs
+            else:
+                source = starts.copy()
+                source[join_rows] = len(self._keys) + \
+                    np.cumsum(joined_counts) - joined_counts
+                gather = concat_ranges(source, new_counts)
+                self._keys = np.concatenate([self._keys, keys])[gather]
+                self._epochs = np.concatenate([self._epochs, epochs])[gather]
+                self._seqs = np.concatenate([self._seqs, seqs])[gather]
+                self._row_counts = new_counts
 
         # Cadence bookkeeping: reset only for keyframes that actually
-        # carry content (the server drops empty snapshots).
-        sent_counts = np.bincount(
-            local_repeat[send_mask], minlength=n_subs)
-        removed_counts = np.fromiter(
-            (len(r) for r in removed_lists), dtype=np.int64, count=n_subs)
-        delivered = (sent_counts > 0) | (removed_counts > 0)
-        ticks = np.where(full_flags & delivered, 0, ticks)
-        self._ticks[rows] = ticks
+        # carry content (the server drops empty snapshots).  Only joined
+        # rows can have removals.
+        delivered = np.bincount(
+            local_repeat[send_mask], minlength=n_subs) > 0
+        for i in join_at.tolist():
+            delivered[i] |= bool(removed_lists[i])
+        self._ticks[rows] = np.where(full_flags & delivered, 0, ticks)
         return send_mask, full_flags, removed_lists

@@ -24,15 +24,88 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
+
+from repro.sync.delta import WorldState, concat_ranges
 
 _EMPTY_INDICES = np.empty(0, dtype=np.int64)
 
 #: Offsets of the 3x3x3 neighbourhood; with ``cell_size >= radius`` every
 #: entity within the radius of a query point lives in one of these cells.
 _NEIGHBOUR_OFFSETS = tuple(product((-1, 0, 1), repeat=3))
+
+
+def _squared_distances(points: np.ndarray, subjects: np.ndarray) -> np.ndarray:
+    """Row-wise squared distances, in the query's exact float order."""
+    d = points - subjects
+    return (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2]
+
+
+def _pack_cells(cells: np.ndarray, cell_size: float) -> np.ndarray:
+    """One int64 key per (cx, cy, cz) cell, so a distinct-cell pass is a
+    1-D sort instead of the much slower row-wise unique.  21 bits per
+    biased coordinate cover cells in [-2^20, 2^20); a cell outside would
+    carry into its neighbour field and alias another cell, so it is an
+    error, not a wrong answer."""
+    bias = np.int64(1 << 20)
+    if len(cells) and (cells.min() < -bias or cells.max() >= bias):
+        raise ValueError(
+            "subject position outside the interest grid's range: "
+            "cell coordinates must lie in [-2^20, 2^20) cells of "
+            f"{cell_size} m")
+    return (((cells[:, 0] + bias) << np.int64(42))
+            | ((cells[:, 1] + bias) << np.int64(21)) | (cells[:, 2] + bias))
+
+
+def _block_ranges(cells: np.ndarray, others: np.ndarray) -> tuple:
+    """Where the 3x3x3 cell block of each of ``others`` lies in ``cells``.
+
+    Returns ``(order, lo, counts)``: ``cells[order[lo[m]:lo[m] +
+    counts[m]]]`` are the cells equal to neighbour ``m % 27`` of
+    ``others[m // 27]``.  Cells pack into mixed-radix int64 keys over the
+    box two cells around ``cells``, so the neighbours of an in-box cell
+    never alias; an other cell beyond it neighbours none of ``cells``.
+    """
+    base = cells.min(axis=0) - 2
+    span = cells.max(axis=0) + 3 - base
+    if int(span[0]) * int(span[1]) * int(span[2]) >= 1 << 62:
+        raise ValueError("interest grid cells span too large a box")
+
+    def pack(c: np.ndarray) -> np.ndarray:
+        r = c - base
+        return (r[..., 0] * span[1] + r[..., 1]) * span[2] + r[..., 2]
+
+    keys = pack(cells)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    block = (pack(others)[:, None] + pack(np.asarray(
+        _NEIGHBOUR_OFFSETS, dtype=np.int64) + base)[None, :]).ravel()
+    lo = np.searchsorted(keys, block)
+    inside = np.all((others > base) & (others < base + span - 1), axis=1)
+    counts = np.where(np.repeat(inside, len(_NEIGHBOUR_OFFSETS)),
+                      np.searchsorted(keys, block, "right") - lo, 0)
+    return order, lo, counts
+
+
+class _LastRows(NamedTuple):
+    """One :meth:`InterestManager.relevant_slots` answer and its inputs;
+    ``kth`` is -2 for a row whose k-th member no test has needed yet."""
+
+    world: WorldState
+    config: "InterestConfig"
+    membership: int
+    subscriber_ids: List[str]
+    self_slots: np.ndarray
+    always_slots: np.ndarray
+    offsets: np.ndarray
+    flat: np.ndarray
+    kth: np.ndarray
+    version: int
+    log_len: int
+    positions: np.ndarray
+    alive: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -162,6 +235,24 @@ class InterestManager:
         #: query; the server's cost model charges ``per_entity_scan`` for
         #: each, so modeled tick cost tracks actual grid work, not N x N.
         self.last_pairs_scanned = 0
+        self._sq_limit: Optional[Tuple[float, float]] = None
+        #: The last :meth:`relevant_slots` answer, reused row by row.
+        self._last: Optional[_LastRows] = None
+
+    def sq_limit(self) -> float:
+        """Largest squared distance whose correctly-rounded sqrt still
+        passes ``dist <= radius``, cached per radius: sqrt is monotone, so
+        ``sq <= sq_limit`` keeps exactly the pairs ``dist <= radius``
+        would, and the sqrt can wait for the much smaller kept set."""
+        radius = self.config.radius_m
+        if self._sq_limit is None or self._sq_limit[0] != radius:
+            sq_limit = radius * radius
+            while np.sqrt(sq_limit) > radius:
+                sq_limit = np.nextafter(sq_limit, 0.0)
+            while np.sqrt(np.nextafter(sq_limit, np.inf)) <= radius:
+                sq_limit = np.nextafter(sq_limit, np.inf)
+            self._sq_limit = (radius, sq_limit)
+        return self._sq_limit[1]
 
     # -- queries -----------------------------------------------------------
 
@@ -217,23 +308,10 @@ class InterestManager:
             grid = SpatialHashGrid([None] * n, points, self.config.radius_m)
             subject_points = np.asarray(subject_points, dtype=float)
             # Subjects sharing a grid cell share their candidate block:
-            # gather once per distinct cell, not once per subject.  Pack
-            # (cx, cy, cz) into one int64 so the distinct-cell pass is a
-            # 1-D sort instead of the much slower row-wise unique; 21
-            # bits per biased coordinate cover cells in [-2^20, 2^20).
-            # A cell outside would carry into its neighbour field and
-            # alias another cell, so it is an error, not a wrong answer.
+            # gather once per distinct cell, not once per subject.
             cells = np.floor(subject_points / grid.cell_size).astype(np.int64)
-            bias = np.int64(1 << 20)
-            if cells.min() < -bias or cells.max() >= bias:
-                raise ValueError(
-                    "subject position outside the interest grid's range: "
-                    "cell coordinates must lie in [-2^20, 2^20) cells of "
-                    f"{grid.cell_size} m")
-            packed = (((cells[:, 0] + bias) << np.int64(42))
-                      | ((cells[:, 1] + bias) << np.int64(21))
-                      | (cells[:, 2] + bias))
-            uniq, group = np.unique(packed, return_inverse=True)
+            uniq, group = np.unique(_pack_cells(cells, grid.cell_size),
+                                    return_inverse=True)
             group = group.reshape(-1)
             order = np.argsort(group, kind="stable")
             bounds = np.searchsorted(
@@ -244,17 +322,7 @@ class InterestManager:
                           for a in range(3))
             is_always = np.zeros(n, dtype=bool)
             is_always[always_indices] = True
-            radius = self.config.radius_m
-            # Largest squared distance whose correctly-rounded sqrt still
-            # passes ``dist <= radius``: sqrt is monotone, so testing
-            # ``sq <= sq_limit`` keeps exactly the pairs ``dist <= radius``
-            # would, and the sqrt itself can be deferred to the much
-            # smaller kept set without changing a single bit.
-            sq_limit = radius * radius
-            while np.sqrt(sq_limit) > radius:
-                sq_limit = np.nextafter(sq_limit, 0.0)
-            while np.sqrt(np.nextafter(sq_limit, np.inf)) <= radius:
-                sq_limit = np.nextafter(sq_limit, np.inf)
+            sq_limit = self.sq_limit()
             cand_parts: List[np.ndarray] = []
             subj_parts: List[np.ndarray] = []
             dist_parts: List[np.ndarray] = []
@@ -374,6 +442,201 @@ class InterestManager:
             sel[b_sorted[within < need[bs]]] = True
         return cand[sel], subj[sel]
 
+    def pairs_scanned(self, points: np.ndarray,
+                      subject_points: np.ndarray) -> int:
+        """The pairs :meth:`relevant_indices_batch` scans for these
+        subjects, from grid-cell occupancy alone: no distance is taken."""
+        if not len(points) or not len(subject_points):
+            return 0
+        size = self.config.radius_m
+        # The query gathers once per distinct subject cell, the block
+        # around its centre.
+        cells = np.floor(subject_points / size).astype(np.int64)
+        _keys, first, subjects = np.unique(
+            _pack_cells(cells, size), return_index=True, return_counts=True)
+        centres = np.floor((cells[first] * size + 0.5 * size)
+                           / size).astype(np.int64)
+        _order, _lo, counts = _block_ranges(
+            np.floor(points / size).astype(np.int64), centres)
+        return int(counts.reshape(len(centres), -1).sum(axis=1) @ subjects)
+
+    def relevant_slots(self, world: WorldState,
+                       subscriber_ids: List[str]) -> tuple:
+        """Every subscriber's relevant entities as ascending world *slots*,
+        as ``(offsets, flat_slots, pairs_scanned)``.
+
+        Subscriber i queries from its own entity's position (the origin
+        when it has none) and never sees itself.  Rows :meth:`_stale_rows`
+        vouches for are the last call's; one :meth:`relevant_indices_batch`
+        over just the other subjects answers the rest.  ``pairs_scanned``
+        is what a fresh query over every subscriber scans, so a cost
+        charged for it does not see the reuse (``last_pairs_scanned``
+        counts what the query here examined).
+        """
+        _ids, slots, points = world.compact()
+        s = len(subscriber_ids)
+        last = self._last if self._last is not None \
+            and self._last.world is world else None
+        compact_of = np.full(world.capacity, -1, dtype=np.int64)
+        compact_of[slots] = np.arange(len(slots), dtype=np.int64)
+        same_subscribers = last is not None \
+            and last.subscriber_ids == subscriber_ids
+        if same_subscribers:
+            prev = np.arange(s, dtype=np.int64)
+        else:
+            index = {} if last is None else \
+                {sub: i for i, sub in enumerate(last.subscriber_ids)}
+            prev = np.fromiter((index.get(sub, -1) for sub in subscriber_ids),
+                               dtype=np.int64, count=s)
+        if same_subscribers and last.membership == world.membership_version:
+            self_slots = last.self_slots  # slots move only with membership
+        else:
+            self_slots = np.fromiter(
+                ((-1 if (slot := world.slot_of(sub)) is None else slot)
+                 for sub in subscriber_ids), dtype=np.int64, count=s)
+        subject_points = np.where((self_slots >= 0)[:, None],
+                                  world.positions_arr[self_slots], 0.0)
+        always_slots = np.asarray(sorted(
+            world.slot_of(e) for e in self.config.always_relevant
+            if e in world), dtype=np.int64)
+        ranks = world.lexicographic_ranks()
+        stale = self._stale_rows(world, last, prev, self_slots,
+                                 subject_points, always_slots, compact_of,
+                                 ranks)
+        fresh = np.flatnonzero(stale)
+        fresh_offsets, fresh_flat = self.relevant_indices_batch(
+            points, subject_points[fresh],
+            np.where(self_slots >= 0, compact_of[self_slots], -1)[fresh],
+            compact_of[always_slots], ranks)
+        pairs = self.last_pairs_scanned if len(fresh) == s \
+            else self.pairs_scanned(points, subject_points)
+        fresh_counts = np.diff(fresh_offsets)
+        fresh_slots = np.sort((np.repeat(fresh, fresh_counts) << np.int64(32))
+                              | slots[fresh_flat]) & np.int64(0xFFFFFFFF)
+        # Splice the kept rows of the last answer with the fresh ones.
+        old_offsets, old_flat, old_kth = (
+            (np.zeros(1, dtype=np.int64), _EMPTY_INDICES, _EMPTY_INDICES)
+            if last is None else (last.offsets, last.flat, last.kth))
+        kept = np.flatnonzero(~stale)
+        counts = np.empty(s, dtype=np.int64)
+        starts = np.empty(s, dtype=np.int64)
+        kth = np.full(s, -2, dtype=np.int64)
+        counts[kept] = np.diff(old_offsets)[prev[kept]]
+        starts[kept] = old_offsets[prev[kept]]
+        kth[kept] = old_kth[prev[kept]]
+        counts[fresh] = fresh_counts
+        starts[fresh] = len(old_flat) + fresh_offsets[:-1]
+        offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+        flat_slots = np.concatenate([old_flat, fresh_slots])[
+            concat_ranges(starts, counts)]
+        self._last = _LastRows(
+            world, self.config, world.membership_version,
+            list(subscriber_ids), self_slots, always_slots, offsets,
+            flat_slots, kth, world.version, len(world.removal_log),
+            world.positions_arr.copy(), compact_of >= 0)
+        return offsets, flat_slots, pairs
+
+    def _stale_rows(self, world: WorldState, last: Optional[_LastRows],
+                    prev: np.ndarray, self_slots: np.ndarray,
+                    subject_points: np.ndarray, always_slots: np.ndarray,
+                    compact_of: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+        """Which subjects' rows from ``last`` may differ from a fresh query.
+
+        A slot *changed* when it was written since ``last`` (its stamp is
+        newer than ``last.version``) and it moved or changed hands (died,
+        or holds an entity it did not hold then).  A row is kept only when
+        its subject was answered last call from the same, unchanged slot
+        and no changed slot crossed the row's boundary: the slot was in
+        the row iff its entity now is, i.e. is inside the radius and ahead
+        of the row's k-th member by ``(distance, id rank)`` (any such
+        entity below the cap).  Every other entity's key is unchanged, so
+        the row's slot set is too.  A changed k-th member is never ahead
+        of itself, so its row is always recomputed.  Only subjects in the
+        3x3x3 grid block of a changed slot's old or new cell are tested,
+        with the query's own distance arithmetic.
+        """
+        if last is None or last.config != self.config or not len(ranks) \
+                or not np.array_equal(last.always_slots, always_slots):
+            return np.ones(len(prev), dtype=bool)
+        changed = np.flatnonzero(world.stamps > last.version)
+        new_pos = world.positions_arr[changed]
+        old_pos = new_pos.copy()
+        renewed = np.ones(len(changed), dtype=bool)
+        had = changed < len(last.alive)
+        old_pos[had] = last.positions[changed[had]]
+        renewed[had] = ~last.alive[changed[had]]
+        renewed |= np.isin(changed, [slot for _id, slot
+                                     in world.removal_log[last.log_len:]])
+        moved = renewed | np.any(old_pos != new_pos, axis=1)
+        # One spare False entry: a subject with no entity has slot -1.
+        is_changed = np.zeros(world.capacity + 1, dtype=bool)
+        is_changed[changed[moved]] = True
+        stale = (prev < 0) | is_changed[self_slots]
+        stale[~stale] = last.self_slots[prev[~stale]] != self_slots[~stale]
+        clean = np.flatnonzero(~stale)
+        moved &= ~np.isin(changed, always_slots)
+        if not moved.any() or not len(clean):
+            return stale
+        changed, new_pos, old_pos = changed[moved], new_pos[moved], \
+            old_pos[moved]
+        size = self.config.radius_m
+        subject_cells = np.floor(subject_points[clean] / size).astype(np.int64)
+        new_cells = np.floor(new_pos / size).astype(np.int64)
+        old_cells = np.floor(old_pos / size).astype(np.int64)
+        crossed = np.flatnonzero(np.any(old_cells != new_cells, axis=1))
+        order, lo, counts = _block_ranges(
+            subject_cells, np.concatenate([new_cells, old_cells[crossed]]))
+        near = order[concat_ranges(lo, counts)]
+        at = np.concatenate([np.arange(len(changed)), crossed])[np.repeat(
+            np.arange(len(counts)) // len(_NEIGHBOUR_OFFSETS), counts)]
+        # (A clean subject's own slot is not among the changed ones.)
+        subj, slot = clean[near], changed[at]
+        p = prev[subj]
+        last_keys = (np.repeat(
+            np.arange(len(last.offsets) - 1, dtype=np.int64),
+            np.diff(last.offsets)) << np.int64(32)) | last.flat
+        wanted = (p << np.int64(32)) | slot
+        was = np.append(last_keys, -1)[
+            np.searchsorted(last_keys, wanted)] == wanted
+
+        def rank(x: np.ndarray) -> np.ndarray:
+            return ranks[compact_of[x]]
+
+        unknown = np.unique(subj[last.kth[p] == -2])
+        if len(unknown):
+            # A row's k-th member: its largest (distance, id rank) nearest
+            # (not always-relevant) member, if it holds max_entities of
+            # them, else -1.  Taken at the last call's positions, for
+            # which each row was exact; every member is alive unless the
+            # test below marks the row stale anyway.
+            k, q = self.config.max_entities, prev[unknown]
+            counts = np.diff(last.offsets)[q]
+            members = last.flat[concat_ranges(last.offsets[q], counts)]
+            row = np.repeat(np.arange(len(q)), counts)
+            nearest = ~np.isin(members, always_slots)
+            full = np.bincount(row[nearest], minlength=len(q)) == k
+            members = members[nearest & full[row]].reshape(-1, k)
+            dist = np.sqrt(_squared_distances(
+                last.positions[members.ravel()], np.repeat(
+                    subject_points[unknown[full]], k, axis=0))).reshape(-1, k)
+            ranked = np.where(dist == dist.max(axis=1, keepdims=True),
+                              rank(members), -1)
+            last.kth[q] = -1
+            last.kth[q[full]] = members[np.arange(len(members)),
+                                        ranked.argmax(axis=1)]
+        kth = last.kth[p]
+        point = subject_points[subj]
+        sq = _squared_distances(world.positions_arr[slot], point)
+        dist = np.sqrt(sq)
+        kth_dist = np.sqrt(_squared_distances(world.positions_arr[kth], point))
+        now = (compact_of[slot] >= 0) & (sq <= self.sq_limit()) \
+            & np.all(np.abs(new_cells[at] - subject_cells[near]) <= 1,
+                     axis=1) \
+            & ((kth < 0) | (dist < kth_dist)
+               | ((dist == kth_dist) & (rank(slot) < rank(kth))))
+        stale[subj[was != now]] = True
+        return stale
+
     def relevant_batch(
         self,
         positions: Mapping[str, np.ndarray],
@@ -459,3 +722,10 @@ class BroadcastInterest(InterestManager):
         self.last_pairs_scanned = s * n
         offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
         return offsets, cand[keep]
+
+    def pairs_scanned(self, points: np.ndarray,
+                      subject_points: np.ndarray) -> int:
+        return len(subject_points) * len(points)
+
+    def _stale_rows(self, world, last, prev, *_inputs) -> np.ndarray:
+        return np.ones(len(prev), dtype=bool)  # recompute every row

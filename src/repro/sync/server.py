@@ -323,8 +323,6 @@ class SyncServer:
         updates, self._pending = self._pending, []
         if updates:
             world.apply_many([update.state for update in updates])
-        ids, slots, points = world.compact()
-        n = len(ids)
         if self._decimation:
             sub_ids = [
                 c for c in self._subscribers if self._sends_this_tick(c)
@@ -335,24 +333,8 @@ class SyncServer:
             sub_ids = list(self._subscribers)
         sends = [self._subscribers[c] for c in sub_ids]
         s = len(sub_ids)
-        inverse = np.full(world.capacity, -1, dtype=np.int64)
-        inverse[slots] = np.arange(n, dtype=np.int64)
-        self_rows = np.fromiter(
-            ((-1 if (slot := world.slot_of(c)) is None else int(inverse[slot]))
-             for c in sub_ids),
-            dtype=np.int64, count=s)
-        subject_points = np.zeros((s, 3))
-        present = self_rows >= 0
-        subject_points[present] = points[self_rows[present]]
-        always_rows = np.asarray(sorted(
-            int(inverse[world.slot_of(e)])
-            for e in self.interest.config.always_relevant if e in world
-        ), dtype=np.int64)
-        offsets, flat = self.interest.relevant_indices_batch(
-            points, subject_points, self_rows, always_rows,
-            world.lexicographic_ranks())
-        pairs_scanned = self.interest.last_pairs_scanned
-        flat_slots = slots[flat] if len(flat) else flat
+        offsets, flat_slots, pairs_scanned = self.interest.relevant_slots(
+            world, sub_ids)
         send_mask, full_flags, removed_lists = self.encoder.encode_batch(
             world, sub_ids, offsets, flat_slots)
 
@@ -380,7 +362,7 @@ class SyncServer:
             ) / max(1, s)
         spanned: set = set()
 
-        states_sent = 0
+        states_sent = snapshots = snapshot_bytes = 0
         # One flat zero-copy pass over everything sent this tick (CSR
         # order groups it by subscriber already); the per-subscriber loop
         # below then just list-slices, with no numpy work per subscriber.
@@ -433,9 +415,12 @@ class SyncServer:
                                 entity=entity_id, tick=self.tick_count,
                                 states=len(states))
             states_sent += len(states)
-            self.metrics.incr("snapshot_bytes", snapshot.size_bytes)
-            self.metrics.incr("snapshots_sent")
+            snapshots += 1
+            snapshot_bytes += snapshot.size_bytes
             sends[i](snapshot)
+        if snapshots:
+            self.metrics.incr("snapshot_bytes", snapshot_bytes)
+            self.metrics.incr("snapshots_sent", snapshots)
         cost = self.cost_model.tick_cost(
             len(updates), states_sent, pairs_scanned)
         if obs.enabled:

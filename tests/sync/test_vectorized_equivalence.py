@@ -57,7 +57,10 @@ def _canon_state(state):
 def test_batch_encoder_matches_scalar_oracle(seed, keyframe_interval):
     """Property: both encoders agree on every (sent, removed, full) set
     over randomized entity churn (apply/remove/re-add with slot reuse,
-    epoch bumps) and randomized per-subscriber relevance."""
+    epoch bumps) and randomized per-subscriber relevance.  About half the
+    steps hold every subscriber's previous relevant set (so the batch
+    encoder's unchanged-row gather runs), and a subscriber is skipped on
+    some steps, as snapshot decimation does."""
     rng = np.random.default_rng(seed)
     world = WorldState()
     scalar = DeltaEncoder(keyframe_interval=keyframe_interval)
@@ -66,6 +69,7 @@ def test_batch_encoder_matches_scalar_oracle(seed, keyframe_interval):
     subscriber_ids = ["s0", "s1", "s2"]
     seqs = {pid: -1 for pid in entity_ids}
     epochs = {pid: 0 for pid in entity_ids}
+    previous = None
     for step in range(14):
         for pid in entity_ids:
             roll = rng.random()
@@ -79,20 +83,28 @@ def test_batch_encoder_matches_scalar_oracle(seed, keyframe_interval):
                 if rng.random() < 0.5:  # crash/rejoin: reset seq, bump epoch
                     epochs[pid] += 1
                     seqs[pid] = -1
+                elif rng.random() < 0.5:  # stale rejoin: an older seq
+                    seqs[pid] -= int(rng.integers(1, 4))
         if rng.random() < 0.2 and len(world):
             # Subscriber churn hits both encoders' forget paths.
             victim = subscriber_ids[int(rng.integers(len(subscriber_ids)))]
             scalar.forget(victim)
             batch.forget(victim)
         live = sorted(world.entities)
-        relevant_sets = [
-            {pid for pid in live if rng.random() < 0.6}
-            for _ in subscriber_ids
-        ]
+        if previous and rng.random() < 0.5:
+            relevant_sets = [{pid for pid in relevant if pid in world}
+                             for relevant in previous]
+        else:
+            relevant_sets = [{pid for pid in live if rng.random() < 0.6}
+                             for _ in subscriber_ids]
+        previous = relevant_sets
+        served = [i for i in range(len(subscriber_ids)) if rng.random() < 0.8]
+        served_ids = [subscriber_ids[i] for i in served]
+        relevant_sets = [relevant_sets[i] for i in served]
         # Scalar pass.
         oracle = [
             scalar.encode(sub, world, relevant)
-            for sub, relevant in zip(subscriber_ids, relevant_sets)
+            for sub, relevant in zip(served_ids, relevant_sets)
         ]
         # Batched pass over the same relevance as a slot CSR.
         slot_lists = [
@@ -104,7 +116,7 @@ def test_batch_encoder_matches_scalar_oracle(seed, keyframe_interval):
         flat_slots = np.asarray(
             [slot for slots in slot_lists for slot in slots], dtype=np.int64)
         send_mask, full_flags, removed_lists = batch.encode_batch(
-            world, subscriber_ids, offsets, flat_slots)
+            world, served_ids, offsets, flat_slots)
         for i, (states, removed, full) in enumerate(oracle):
             sent_slots = flat_slots[offsets[i]:offsets[i + 1]][
                 send_mask[offsets[i]:offsets[i + 1]]]
@@ -247,6 +259,34 @@ def test_keyframe_counter_holds_until_actually_sent(encoder_cls):
     world.apply(AvatarState("a", 1.0, Pose(), seq=1))
     sent, _removed, full = encode([world.slot_of("a")])
     assert full and sent == 1
+
+
+@pytest.mark.parametrize("encoder_cls", [DeltaEncoder, BatchDeltaEncoder])
+def test_stale_readd_stays_suppressed_after_an_unchanged_row(encoder_cls):
+    """A re-added entity at a version the subscriber already has is not
+    resent, also when that version reached it through a row that did
+    not change (the batch encoder's gather path, which must advance the
+    seen version in place for the pending entry to carry it)."""
+    world = WorldState()
+    encoder = encoder_cls(keyframe_interval=30)
+
+    def encode(ids):
+        if encoder_cls is DeltaEncoder:
+            states, removed, _full = encoder.encode("sub", world, set(ids))
+            return sorted(state.seq for state in states), removed
+        slots = np.asarray(sorted(world.slot_of(i) for i in ids))
+        mask, _full, removed = encoder.encode_batch(
+            world, ["sub"], np.array([0, len(slots)]), slots)
+        return sorted(world.state_at(s).seq for s in slots[mask]), removed[0]
+
+    for entity_id in ("a", "b"):
+        world.apply(AvatarState(entity_id, 0.0, Pose(), seq=1))
+    assert encode(["a", "b"]) == ([1, 1], [])
+    world.apply(AvatarState("a", 1.0, Pose(), seq=2))
+    assert encode(["a", "b"]) == ([2], [])       # same row: a resent
+    world.remove("a")
+    world.apply(AvatarState("a", 2.0, Pose(), seq=2))
+    assert encode(["a", "b"]) == ([], [])        # already seen at seq 2
 
 
 def test_encoder_rows_stay_bounded_under_subscriber_churn():
