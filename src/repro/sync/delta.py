@@ -544,8 +544,8 @@ class BatchDeltaEncoder:
         offsets = np.asarray(offsets, dtype=np.int64)
         flat_slots = np.asarray(flat_slots, dtype=np.int64)
         counts = np.diff(offsets)
-        local_repeat = np.repeat(np.arange(n_subs, dtype=np.int64), counts)
-        row_repeat = rows[local_repeat]
+        local = np.arange(n_subs, dtype=np.int64)
+        local_repeat = np.repeat(local, counts)
         cur_epochs = world.epochs[flat_slots]
         cur_seqs = world.seqs[flat_slots]
 
@@ -554,7 +554,7 @@ class BatchDeltaEncoder:
         # count as seen — the reference encoder's seen dict still holds dead
         # entities at this point of its encode.
         local_of = np.full(len(self._ticks), -1, dtype=np.int64)
-        local_of[rows] = np.arange(n_subs, dtype=np.int64)
+        local_of[rows] = local
         has_pending = np.zeros(n_subs, dtype=bool)
         if self._pending:
             pending_local = local_of[list(self._pending)]
@@ -565,7 +565,8 @@ class BatchDeltaEncoder:
 
         # Unchanged rows equal their seen entries slot for slot and read
         # their seen versions in place; the rest (and every row with
-        # pending removals) join against their seen keys.
+        # pending removals) join against their seen keys.  -1 is "never
+        # seen".
         starts = np.cumsum(self._row_counts) - self._row_counts
         seen_at = concat_ranges(starts[rows], counts)
         join = has_pending | (counts != self._row_counts[rows])
@@ -573,67 +574,68 @@ class BatchDeltaEncoder:
         same[same] = (self._keys[seen_at[same]] & _SLOT_MASK) \
             == flat_slots[same]
         join[local_repeat[~same]] = True
+        same = ~join[local_repeat]
         join_at = np.flatnonzero(join)
-        joined = join[local_repeat]
-        join_rows = np.sort(rows[join_at])
-        seen_counts = self._row_counts[join_rows]
-        seen_pos = concat_ranges(starts[join_rows], seen_counts)
-        seen_keys = self._keys[seen_pos]
-        join_keys = (row_repeat[joined] << np.int64(32)) | flat_slots[joined]
-        # Where each entry's seen version lives; ``len(keys)`` (a -1
-        # sentinel past the end) means never seen.  Keys are >= 0.
-        none = len(self._keys)
-        seen_from = np.where(joined, none, seen_at)
-        found = np.searchsorted(seen_keys, join_keys)
-        seen_from[joined] = np.where(
-            np.append(seen_keys, -1)[found] == join_keys,
-            np.append(seen_pos, none)[found], none)
-        seen_epochs = np.append(self._epochs, -1)[seen_from]
-        seen_seqs = np.append(self._seqs, -1)[seen_from]
+        seen_epochs = np.full(len(flat_slots), -1, dtype=np.int64)
+        seen_seqs = np.full(len(flat_slots), -1, dtype=np.int64)
+        seen_epochs[same] = self._epochs[seen_at[same]]
+        seen_seqs[same] = self._seqs[seen_at[same]]
+        if len(join_at):
+            joined = np.flatnonzero(~same)
+            join_rows = np.sort(rows[join_at])
+            seen_counts = self._row_counts[join_rows]
+            seen_pos = concat_ranges(starts[join_rows], seen_counts)
+            seen_keys = self._keys[seen_pos]
+            join_keys = (rows[local_repeat[joined]] << np.int64(32)) \
+                | flat_slots[joined]
+            found = np.searchsorted(seen_keys, join_keys)
+            # Keys are >= 0, so a -1 sentinel past the end never matches.
+            matched = np.append(seen_keys, -1)[found] == join_keys
+            seen_epochs[joined[matched]] = \
+                self._epochs[seen_pos[found[matched]]]
+            seen_seqs[joined[matched]] = self._seqs[seen_pos[found[matched]]]
         send_mask = full_flags[local_repeat] | (seen_epochs < cur_epochs) \
             | ((seen_epochs == cur_epochs) & (seen_seqs < cur_seqs))
 
-        # Removals: pending entries from world removals, then seen entries
-        # of joined rows that left relevance.  A pending id that is alive
-        # and relevant again restores stale-suppression instead (matching
-        # the reference encoder, whose seen dict survives remove + re-add).
-        removed_lists: List[List[str]] = [[] for _ in range(n_subs)]
-        for row, pending in list(self._pending.items()):
-            i = int(local_of[row])
-            if i < 0:
-                continue
-            del self._pending[row]
-            lo, hi = int(offsets[i]), int(offsets[i + 1])
-            for entity_id, seen_epoch, seen_seq in pending:
-                slot = world.slot_of(entity_id)
-                if slot is not None:
-                    at = np.flatnonzero(flat_slots[lo:hi] == slot)
-                    if len(at):
-                        at = lo + at[0]
-                        if not full_flags[i] and (seen_epoch, seen_seq) >= (
-                                int(cur_epochs[at]), int(cur_seqs[at])):
-                            send_mask[at] = False
-                            seen_epochs[at], seen_seqs[at] = \
-                                seen_epoch, seen_seq
-                        continue
-                removed_lists[i].append(entity_id)
-        order = np.argsort(join_keys, kind="stable")
-        keys = join_keys[order]
-        gone = np.append(keys, -1)[np.searchsorted(keys, seen_keys)] \
-            != seen_keys
-        for key in seen_keys[gone].tolist():
-            removed_lists[local_of[key >> 32]].append(
-                world.id_at(key & 0xFFFFFFFF))
-
         # New seen state, as the reference keeps it: a sent entry is seen
         # at its world version, an unsent one keeps the version it had.
-        # Unchanged rows update their sent entries in place; joined rows'
-        # entries become their current slots, in place too while no
-        # joined row changes size.
-        sent_on = send_mask & ~joined
+        # Unchanged rows update their sent entries in place.
+        sent_on = send_mask & same
         self._epochs[seen_at[sent_on]] = cur_epochs[sent_on]
         self._seqs[seen_at[sent_on]] = cur_seqs[sent_on]
+        removed_lists: List[List[str]] = [[] for _ in range(n_subs)]
         if len(join_at):
+            # Removals: pending entries from world removals, then seen
+            # entries that left relevance.  A pending id that is alive and
+            # relevant again restores stale-suppression instead (matching
+            # the reference, whose seen dict survives remove + re-add).
+            for row, pending in list(self._pending.items()):
+                i = int(local_of[row])
+                if i < 0:
+                    continue
+                del self._pending[row]
+                lo, hi = int(offsets[i]), int(offsets[i + 1])
+                for entity_id, seen_epoch, seen_seq in pending:
+                    slot = world.slot_of(entity_id)
+                    at = np.flatnonzero(flat_slots[lo:hi] == slot) \
+                        if slot is not None else ()
+                    if not len(at):
+                        removed_lists[i].append(entity_id)
+                    elif not full_flags[i] and (seen_epoch, seen_seq) >= (
+                            int(cur_epochs[lo + at[0]]),
+                            int(cur_seqs[lo + at[0]])):
+                        send_mask[lo + at[0]] = False
+                        seen_epochs[lo + at[0]] = seen_epoch
+                        seen_seqs[lo + at[0]] = seen_seq
+            order = np.argsort(join_keys, kind="stable")
+            keys = join_keys[order]
+            gone = np.append(keys, -1)[np.searchsorted(keys, seen_keys)] \
+                != seen_keys
+            for key in seen_keys[gone].tolist():
+                removed_lists[local_of[key >> 32]].append(
+                    world.id_at(key & 0xFFFFFFFF))
+            # The joined rows' entries become their current slots, in
+            # place while no joined row changes size.
             sent = send_mask[joined]
             epochs = np.where(sent, cur_epochs[joined],
                               seen_epochs[joined])[order]

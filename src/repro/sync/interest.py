@@ -98,6 +98,7 @@ class _LastRows(NamedTuple):
     membership: int
     subscriber_ids: List[str]
     self_slots: np.ndarray
+    points: np.ndarray
     always_slots: np.ndarray
     offsets: np.ndarray
     flat: np.ndarray
@@ -531,7 +532,8 @@ class InterestManager:
             concat_ranges(starts, counts)]
         self._last = _LastRows(
             world, self.config, world.membership_version,
-            list(subscriber_ids), self_slots, always_slots, offsets,
+            list(subscriber_ids), self_slots, subject_points, always_slots,
+            offsets,
             flat_slots, kth, world.version, len(world.removal_log),
             world.positions_arr.copy(), compact_of >= 0)
         return offsets, flat_slots, pairs
@@ -545,8 +547,8 @@ class InterestManager:
         A slot *changed* when it was written since ``last`` (its stamp is
         newer than ``last.version``) and it moved or changed hands (died,
         or holds an entity it did not hold then).  A row is kept only when
-        its subject was answered last call from the same, unchanged slot
-        and no changed slot crossed the row's boundary: the slot was in
+        its subject was answered last call from the same slot and query
+        point and no changed slot crossed the row's boundary: the slot was in
         the row iff its entity now is, i.e. is inside the radius and ahead
         of the row's k-th member by ``(distance, id rank)`` (any such
         entity below the cap).  Every other entity's key is unchanged, so
@@ -558,7 +560,14 @@ class InterestManager:
         if last is None or last.config != self.config or not len(ranks) \
                 or not np.array_equal(last.always_slots, always_slots):
             return np.ones(len(prev), dtype=bool)
+        stale = prev < 0
+        known = np.flatnonzero(~stale)
+        stale[known] = (last.self_slots[prev[known]] != self_slots[known]) \
+            | np.any(last.points[prev[known]] != subject_points[known], axis=1)
+        clean = np.flatnonzero(~stale)
         changed = np.flatnonzero(world.stamps > last.version)
+        if not len(clean) or not len(changed):
+            return stale
         new_pos = world.positions_arr[changed]
         old_pos = new_pos.copy()
         renewed = np.ones(len(changed), dtype=bool)
@@ -567,15 +576,9 @@ class InterestManager:
         renewed[had] = ~last.alive[changed[had]]
         renewed |= np.isin(changed, [slot for _id, slot
                                      in world.removal_log[last.log_len:]])
-        moved = renewed | np.any(old_pos != new_pos, axis=1)
-        # One spare False entry: a subject with no entity has slot -1.
-        is_changed = np.zeros(world.capacity + 1, dtype=bool)
-        is_changed[changed[moved]] = True
-        stale = (prev < 0) | is_changed[self_slots]
-        stale[~stale] = last.self_slots[prev[~stale]] != self_slots[~stale]
-        clean = np.flatnonzero(~stale)
-        moved &= ~np.isin(changed, always_slots)
-        if not moved.any() or not len(clean):
+        moved = (renewed | np.any(old_pos != new_pos, axis=1)) \
+            & ~np.isin(changed, always_slots)
+        if not moved.any():
             return stale
         changed, new_pos, old_pos = changed[moved], new_pos[moved], \
             old_pos[moved]
@@ -589,7 +592,6 @@ class InterestManager:
         near = order[concat_ranges(lo, counts)]
         at = np.concatenate([np.arange(len(changed)), crossed])[np.repeat(
             np.arange(len(counts)) // len(_NEIGHBOUR_OFFSETS), counts)]
-        # (A clean subject's own slot is not among the changed ones.)
         subj, slot = clean[near], changed[at]
         p = prev[subj]
         last_keys = (np.repeat(

@@ -59,7 +59,8 @@ def test_batch_encoder_matches_scalar_oracle(seed, keyframe_interval):
     over randomized entity churn (apply/remove/re-add with slot reuse,
     epoch bumps) and randomized per-subscriber relevance.  About half the
     steps hold every subscriber's previous relevant set (so the batch
-    encoder's unchanged-row gather runs), and a subscriber is skipped on
+    encoder's unchanged-row gather runs) or swap one member for another
+    (a row that repeats only in part), and a subscriber is skipped on
     some steps, as snapshot decimation does."""
     rng = np.random.default_rng(seed)
     world = WorldState()
@@ -94,6 +95,11 @@ def test_batch_encoder_matches_scalar_oracle(seed, keyframe_interval):
         if previous and rng.random() < 0.5:
             relevant_sets = [{pid for pid in relevant if pid in world}
                              for relevant in previous]
+            for relevant in relevant_sets:       # a same-size swap
+                outside = sorted(set(live) - relevant)
+                if relevant and outside and rng.random() < 0.3:
+                    relevant.remove(sorted(relevant)[-1])
+                    relevant.add(outside[int(rng.integers(len(outside)))])
         else:
             relevant_sets = [{pid for pid in live if rng.random() < 0.6}
                              for _ in subscriber_ids]
