@@ -403,24 +403,21 @@ class BatchDeltaEncoder:
     1. drains the world's removal log — entries whose slot died become
        pending removals for every row that had seen them (and are purged,
        so slot reuse can never alias a dead entity);
-    2. splits the rows.  A row whose slots equal its seen entries slot
-       for slot, with no pending removals, is *unchanged* and reads its
-       seen versions in place, a gather.  Every other row joins its slots
-       against its seen keys with one ``searchsorted``;
+    2. reads each entry's seen version: in place for an *unchanged* row
+       (its slots equal its seen entries slot for slot, nothing pending),
+       by one ``searchsorted`` join against the seen keys for the rest;
     3. sends an entry when its row is keyframing, it was never seen, or
        its world ``(epoch, seq)`` moved past the seen one;
-    4. resolves the joined rows' pending entries and emits removals for
-       their seen entries that left relevance;
-    5. records what was sent, as the reference does: a sent entry is
-       seen at its world version, an unsent one keeps its seen version
-       (higher than the world's after a suppressed stale re-add).
-       Unchanged rows update in place; only joined rows are re-laid out.
+    4. for joined rows, resolves pending entries and emits removals for
+       seen entries that left relevance;
+    5. records, as the reference does, a sent entry at its world version
+       and an unsent one at its seen version (above the world's after a
+       suppressed stale re-add).
 
-    Rows given in ascending slot order (the server's are) take the
-    unchanged path whenever their set repeats; rows in any other order
-    are encoded just as exactly, through the join.  Keyframe cadence
-    matches the reference :class:`DeltaEncoder` exactly, including
-    reset-only-when-sent.
+    Rows in ascending slot order (the server's) take the unchanged path
+    whenever their set repeats; any order is encoded exactly.  Keyframe
+    cadence matches the reference :class:`DeltaEncoder` exactly,
+    including reset-only-when-sent.
 
     Rows released by :meth:`forget` go on a free list and are reused, so
     the per-row arrays stay bounded under subscriber churn.  Output does

@@ -60,14 +60,10 @@ def _pack_cells(cells: np.ndarray, cell_size: float) -> np.ndarray:
 
 
 def _block_ranges(cells: np.ndarray, others: np.ndarray) -> tuple:
-    """Where the 3x3x3 cell block of each of ``others`` lies in ``cells``.
-
-    Returns ``(order, lo, counts)``: ``cells[order[lo[m]:lo[m] +
-    counts[m]]]`` are the cells equal to neighbour ``m % 27`` of
-    ``others[m // 27]``.  Cells pack into mixed-radix int64 keys over the
-    box two cells around ``cells``, so the neighbours of an in-box cell
-    never alias; an other cell beyond it neighbours none of ``cells``.
-    """
+    """``(order, lo, counts)``: ``cells[order[lo[m]:lo[m] + counts[m]]]``
+    equal neighbour ``m % 27`` of ``others[m // 27]``.  Keys are mixed-radix
+    over the box two cells around ``cells``, so an in-box cell's
+    neighbours never alias; an other cell beyond it neighbours none."""
     base = cells.min(axis=0) - 2
     span = cells.max(axis=0) + 3 - base
     if int(span[0]) * int(span[1]) * int(span[2]) >= 1 << 62:
@@ -464,15 +460,14 @@ class InterestManager:
     def relevant_slots(self, world: WorldState,
                        subscriber_ids: List[str]) -> tuple:
         """Every subscriber's relevant entities as ascending world *slots*,
-        as ``(offsets, flat_slots, pairs_scanned)``.
+        ``(offsets, flat_slots, pairs_scanned)``.
 
         Subscriber i queries from its own entity's position (the origin
         when it has none) and never sees itself.  Rows :meth:`_stale_rows`
         vouches for are the last call's; one :meth:`relevant_indices_batch`
-        over just the other subjects answers the rest.  ``pairs_scanned``
-        is what a fresh query over every subscriber scans, so a cost
-        charged for it does not see the reuse (``last_pairs_scanned``
-        counts what the query here examined).
+        over the other subjects answers the rest.  ``pairs_scanned`` is
+        what a fresh query over every subscriber scans, so a cost charged
+        for it does not see the reuse.
         """
         _ids, slots, points = world.compact()
         s = len(subscriber_ids)
@@ -533,8 +528,7 @@ class InterestManager:
         self._last = _LastRows(
             world, self.config, world.membership_version,
             list(subscriber_ids), self_slots, subject_points, always_slots,
-            offsets,
-            flat_slots, kth, world.version, len(world.removal_log),
+            offsets, flat_slots, kth, world.version, len(world.removal_log),
             world.positions_arr.copy(), compact_of >= 0)
         return offsets, flat_slots, pairs
 
@@ -544,18 +538,16 @@ class InterestManager:
                     compact_of: np.ndarray, ranks: np.ndarray) -> np.ndarray:
         """Which subjects' rows from ``last`` may differ from a fresh query.
 
-        A slot *changed* when it was written since ``last`` (its stamp is
-        newer than ``last.version``) and it moved or changed hands (died,
-        or holds an entity it did not hold then).  A row is kept only when
-        its subject was answered last call from the same slot and query
-        point and no changed slot crossed the row's boundary: the slot was in
-        the row iff its entity now is, i.e. is inside the radius and ahead
-        of the row's k-th member by ``(distance, id rank)`` (any such
-        entity below the cap).  Every other entity's key is unchanged, so
-        the row's slot set is too.  A changed k-th member is never ahead
-        of itself, so its row is always recomputed.  Only subjects in the
-        3x3x3 grid block of a changed slot's old or new cell are tested,
-        with the query's own distance arithmetic.
+        A slot *changed* if written since ``last`` (stamp newer than
+        ``last.version``) and it moved or changed hands.  A row is kept
+        only if its subject was answered last call from the same slot and
+        point and no changed slot crossed the row's boundary: it was in the
+        row iff its entity now is inside the radius and ahead of the row's
+        k-th member by ``(distance, id rank)`` (below the cap: inside the
+        radius).  Every other key is unchanged, so the set is too; a
+        changed k-th member is never ahead of itself.  Only subjects in the
+        27-cell block of a changed slot's old or new cell are tested, with
+        the query's own distance arithmetic.
         """
         if last is None or last.config != self.config or not len(ranks) \
                 or not np.array_equal(last.always_slots, always_slots):
@@ -687,12 +679,6 @@ class InterestManager:
             for i, subject_id in enumerate(subject_ids)
         }
 
-    def relevance_matrix(
-        self, positions: Mapping[str, np.ndarray]
-    ) -> Dict[str, Set[str]]:
-        """Relevant sets for every entity at once (one grid build)."""
-        return self.relevant_batch(positions)
-
 
 class BroadcastInterest(InterestManager):
     """The no-filtering baseline: everyone is relevant to everyone.
@@ -701,9 +687,6 @@ class BroadcastInterest(InterestManager):
     manager, so a :class:`~repro.sync.server.SyncServer` runs it through
     its one tick; the query scans, and reports, all ``s x n`` pairs.
     """
-
-    def __init__(self):
-        super().__init__()
 
     def relevant_indices_batch(
         self,
