@@ -679,6 +679,12 @@ class InterestManager:
             for i, subject_id in enumerate(subject_ids)
         }
 
+    def relevance_matrix(
+        self, positions: Mapping[str, np.ndarray]
+    ) -> Dict[str, Set[str]]:
+        """Relevant sets for every entity at once (one grid build)."""
+        return self.relevant_batch(positions)
+
 
 class BroadcastInterest(InterestManager):
     """The no-filtering baseline: everyone is relevant to everyone.
@@ -687,6 +693,9 @@ class BroadcastInterest(InterestManager):
     manager, so a :class:`~repro.sync.server.SyncServer` runs it through
     its one tick; the query scans, and reports, all ``s x n`` pairs.
     """
+
+    def __init__(self):
+        super().__init__()
 
     def relevant_indices_batch(
         self,

@@ -57,7 +57,7 @@ def test_interest_config_validation():
 def test_relevance_matrix_symmetric_for_grid():
     manager = InterestManager(InterestConfig(radius_m=1.5, max_entities=10))
     positions = positions_grid(5)
-    matrix = manager.relevant_batch(positions)
+    matrix = manager.relevance_matrix(positions)
     assert ("p1" in matrix["p0"]) == ("p0" in matrix["p1"])
 
 
