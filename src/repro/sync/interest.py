@@ -10,12 +10,14 @@ The query side is backed by a uniform spatial hash grid
 (:class:`SpatialHashGrid`) with cell size equal to the interest radius,
 so a radius query only examines the 3x3x3 block of cells around the
 subject instead of every entity in the world.  The core is
-:meth:`InterestManager.relevant_indices_batch`: one grid build per
-tick over the stacked entity positions answers every subscriber as a
-CSR over entity rows, which is what the sync server and the federation
-relays call.  :meth:`InterestManager.relevant_batch` and
-:meth:`InterestManager.relevant` are id-keyed wrappers over it, and
-:class:`BroadcastInterest` overrides the core with the no-filtering
+:meth:`InterestManager.relevant_indices_batch`: one grid build over the
+stacked entity positions answers every subject as a CSR over entity
+rows; the federation relays call it directly, and the sync server's
+tick through :meth:`InterestManager.relevant_slots`, which reuses last
+tick's rows that provably did not change.
+:meth:`InterestManager.relevant_batch` and
+:meth:`InterestManager.relevant` are id-keyed wrappers over the core,
+and :class:`BroadcastInterest` overrides it with the no-filtering
 answer.  :func:`naive_relevant` keeps the original O(N) linear scan as
 the reference oracle the equivalence tests check the grid against.
 """
@@ -86,8 +88,10 @@ def _block_ranges(cells: np.ndarray, others: np.ndarray) -> tuple:
 
 
 class _LastRows(NamedTuple):
-    """One :meth:`InterestManager.relevant_slots` answer and its inputs;
-    ``kth`` is -2 for a row whose k-th member no test has needed yet."""
+    """One :meth:`InterestManager.relevant_slots` answer and its inputs:
+    the world's ``version``, membership version, removal-log length,
+    position block and live-slot mask then, and per subscriber its slot,
+    query point, row and k-th member (-2: not needed by a test yet)."""
 
     world: WorldState
     config: "InterestConfig"

@@ -1,11 +1,11 @@
 """The authoritative tick server.
 
 One data plane: every tick applies pending updates to the world's SoA
-arrays, answers all subscribers' interest as one CSR query
-(:meth:`~repro.sync.interest.InterestManager.relevant_indices_batch`),
-delta-encodes the answer in one
-:meth:`~repro.sync.delta.BatchDeltaEncoder.encode_batch` pass and builds
-the snapshots.  Replica-visible behaviour is pinned by the golden stream
+arrays, answers all subscribers' interest as one slot CSR
+(:meth:`~repro.sync.interest.InterestManager.relevant_slots`, which
+recomputes only the rows that may have changed), delta-encodes the
+answer in one :meth:`~repro.sync.delta.BatchDeltaEncoder.encode_batch`
+pass and builds the snapshots.  Replica-visible behaviour is pinned by the golden stream
 digests in ``tests/golden/``.
 """
 
@@ -74,9 +74,9 @@ class SyncServer:
 
     Clients deposit :class:`~repro.sync.protocol.ClientUpdate` messages via
     :meth:`ingest` (normally called by a network delivery callback).  Every
-    tick the server applies pending updates, computes all subscribers'
-    relevant sets in one batch interest query over the world's SoA
-    position block, delta-encodes against what each subscriber last saw
+    tick the server applies pending updates, answers all subscribers'
+    relevant sets as one slot CSR (recomputing only rows that may have
+    changed), delta-encodes against what each subscriber last saw
     in one batch pass, and hands the snapshot to the subscriber's
     ``send`` callback (which routes it back through the network).
 
@@ -312,9 +312,9 @@ class SyncServer:
         compute cost.
 
         Ingested updates land in the world's slot arrays; interest answers
-        every subscriber as a CSR of compact rows against one grid build;
-        the batch encoder turns that into per-subscriber send masks and
-        removal lists in one sparse join; snapshot sizes come from one
+        every subscriber as a CSR of slots, reusing last tick's unchanged
+        rows; the batch encoder turns that into per-subscriber send masks
+        and removal lists in one pass; snapshot sizes come from one
         weighted bincount over the cached per-slot wire sizes.  Python
         touches each *sent* state once, in the snapshot list build.
         """

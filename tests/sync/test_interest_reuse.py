@@ -16,7 +16,11 @@ from repro.avatar.state import AvatarState
 from repro.sensing.pose import Pose
 from repro.simkit import Simulator
 from repro.sync.federation import ShardedSyncService
-from repro.sync.interest import InterestConfig, InterestManager
+from repro.sync.interest import (
+    BroadcastInterest,
+    InterestConfig,
+    InterestManager,
+)
 from repro.sync.protocol import ClientUpdate
 from repro.sync.server import SyncServer
 from repro.workload.traces import StationaryMotion, WalkingMotion
@@ -169,12 +173,14 @@ def test_reused_rows_equal_a_fresh_query_every_tick(seed, lattice, always,
         assert server.metrics.counter("interest_pairs_scanned") - before \
             == checked.pairs[-1]
     # A tick with no write since the last one recomputes nothing.
-    for _ in range(2):
-        server.set_snapshot_decimation("spectator", 1)
-        for entity_id in ids:
-            server.set_snapshot_decimation(entity_id, 1)
-        server.tick_once()
-    assert checked.reused_all >= 1
+    for entity_id in ids:
+        server.set_snapshot_decimation(entity_id, 1)
+        if entity_id not in server.world:
+            join(entity_id, 16.0)
+    server.tick_once()
+    reused_all = checked.reused_all
+    server.tick_once()
+    assert checked.reused_all == reused_all + 1
 
 
 def test_federated_shards_with_moves_and_a_crash_match_fresh_queries():
@@ -204,15 +210,15 @@ def test_federated_shards_with_moves_and_a_crash_match_fresh_queries():
 
 
 def test_broadcast_recomputes_every_row():
-    """``BroadcastInterest`` keeps its full answer: every tick queries
-    every subscriber, so the reported and charged pairs coincide."""
-    from repro.sync.interest import BroadcastInterest
-
+    """``BroadcastInterest`` keeps its full answer: even a quiet tick
+    queries every subscriber, so the reported and charged pairs
+    coincide."""
     server = SyncServer(Simulator(seed=1), interest=BroadcastInterest())
     for i in range(4):
         server.subscribe(f"c{i}", lambda snapshot: None)
         server.ingest(ClientUpdate(f"c{i}", _state(
             f"c{i}", 0.0, [float(i), 0.0, 0.0], 0), 0))
-    for _ in range(3):
+    for tick in range(1, 4):
         server.tick_once()
         assert server.interest.last_pairs_scanned == 4 * 4
+        assert server.metrics.counter("interest_pairs_scanned") == 16 * tick
