@@ -4,9 +4,10 @@ Section 3.3: "Developing such a classroom raises significant challenges
 related to the synchronization of a large number of entities within a
 single digital space ... users' actions need to be synchronized in
 real-time to enable seamless interaction."  This package provides the
-tick-based authoritative server, delta encoding, interest management,
-client-side prediction, NTP-style clock sync, and the consistency metrics
-the scaling experiments (C3a) measure.
+tick-based authoritative server, delta encoding, interest management
+over one sorted cell index, client-side prediction, NTP-style clock
+sync, and the consistency metrics the scaling experiments (C3a)
+measure.
 """
 
 from repro.sync.client import SyncClient
@@ -23,7 +24,6 @@ from repro.sync.interest import (
     BroadcastInterest,
     InterestConfig,
     InterestManager,
-    SpatialHashGrid,
     naive_relevant,
 )
 from repro.sync.migration import FailoverController, MigratableClient
@@ -51,7 +51,6 @@ __all__ = [
     "ShardedSyncService",
     "ShardHandoffController",
     "ShardRelay",
-    "SpatialHashGrid",
     "naive_relevant",
     "ServerSnapshot",
     "SyncClient",

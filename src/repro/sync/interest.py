@@ -6,11 +6,11 @@ interest radius with a nearest-k cap and an always-relevant set (the
 instructor, active speakers) — the scheme the C3a experiment ablates
 against full broadcast.
 
-The query side is backed by a uniform spatial hash grid
-(:class:`SpatialHashGrid`) with cell size equal to the interest radius,
-so a radius query only examines the 3x3x3 block of cells around the
-subject instead of every entity in the world.  The core is
-:meth:`InterestManager.relevant_indices_batch`: one grid build over the
+The query side is backed by one uniform cell index (:func:`_cell_blocks`)
+with cell size equal to the interest radius, so a radius query only
+examines the 3x3x3 block of cells around the subject instead of every
+entity in the world.  The core is
+:meth:`InterestManager.relevant_indices_batch`: one index over the
 stacked entity positions answers every subject as a CSR over entity
 rows; the federation relays call it directly, and the sync server's
 tick through :meth:`InterestManager.relevant_slots`, which reuses last
@@ -19,7 +19,7 @@ tick's rows that provably did not change.
 :meth:`InterestManager.relevant` are id-keyed wrappers over the core,
 and :class:`BroadcastInterest` overrides it with the no-filtering
 answer.  :func:`naive_relevant` keeps the original O(N) linear scan as
-the reference oracle the equivalence tests check the grid against.
+the reference oracle the equivalence tests check the index against.
 """
 
 from __future__ import annotations
@@ -36,7 +36,10 @@ _EMPTY_INDICES = np.empty(0, dtype=np.int64)
 
 #: Offsets of the 3x3x3 neighbourhood; with ``cell_size >= radius`` every
 #: entity within the radius of a query point lives in one of these cells.
-_NEIGHBOUR_OFFSETS = tuple(product((-1, 0, 1), repeat=3))
+_NEIGHBOUR_OFFSETS = np.array(list(product((-1, 0, 1), repeat=3)))
+
+_UNINDEXABLE = ("interest positions must be finite, in cells spanning a box "
+                "of fewer than 2^62 cells")
 
 
 def _squared_distances(points: np.ndarray, subjects: np.ndarray) -> np.ndarray:
@@ -45,46 +48,39 @@ def _squared_distances(points: np.ndarray, subjects: np.ndarray) -> np.ndarray:
     return (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2]
 
 
-def _pack_cells(cells: np.ndarray, cell_size: float) -> np.ndarray:
-    """One int64 key per (cx, cy, cz) cell, so a distinct-cell pass is a
-    1-D sort instead of the much slower row-wise unique.  21 bits per
-    biased coordinate cover cells in [-2^20, 2^20); a cell outside would
-    carry into its neighbour field and alias another cell, so it is an
-    error, not a wrong answer."""
-    bias = np.int64(1 << 20)
-    if len(cells) and (cells.min() < -bias or cells.max() >= bias):
-        raise ValueError(
-            "subject position outside the interest grid's range: "
-            "cell coordinates must lie in [-2^20, 2^20) cells of "
-            f"{cell_size} m")
-    return (((cells[:, 0] + bias) << np.int64(42))
-            | ((cells[:, 1] + bias) << np.int64(21)) | (cells[:, 2] + bias))
+def _cell_blocks(cells: np.ndarray, query_cells: np.ndarray) -> tuple:
+    """The one interest cell index, ``(order, group, lo, counts)``.
 
-
-def _block_ranges(cells: np.ndarray, others: np.ndarray) -> tuple:
-    """``(order, lo, counts)``: ``cells[order[lo[m]:lo[m] + counts[m]]]``
-    equal neighbour ``m % 27`` of ``others[m // 27]``.  Keys are mixed-radix
-    over the box two cells around ``cells``, so an in-box cell's
-    neighbours never alias; an other cell beyond it neighbours none."""
-    base = cells.min(axis=0) - 2
-    span = cells.max(axis=0) + 3 - base
+    ``cells`` and ``query_cells`` are floored cell coordinates.  Query i
+    lies in distinct cell ``group[i]``, and ``cells[order[lo[g, m]:lo[g,
+    m] + counts[g, m]]]`` are neighbour ``m`` of distinct cell ``g``.
+    Keys are mixed-radix over the box one cell around both sets, so every
+    key is in range and no neighbour aliases another cell; a non-finite
+    cell, or a box too large for the key arithmetic, is an error."""
+    both = np.concatenate([cells, query_cells])
+    if not np.abs(both).max() < 2.0 ** 61:  # also taken for nan
+        raise ValueError(_UNINDEXABLE)
+    both = both.astype(np.int64)
+    base = both.min(axis=0) - 1
+    span = both.max(axis=0) + 2 - base
     if int(span[0]) * int(span[1]) * int(span[2]) >= 1 << 62:
-        raise ValueError("interest grid cells span too large a box")
+        raise ValueError(_UNINDEXABLE)
+    radix = np.array([span[1] * span[2], span[2], 1])
+    keys = (both - base) @ radix
+    order = np.argsort(keys[:len(cells)], kind="stable")
+    sorted_keys = keys[order]
+    uniq = np.unique(keys[len(cells):])
+    group = np.searchsorted(uniq, keys[len(cells):])
+    block = (uniq[:, None] + (_NEIGHBOUR_OFFSETS @ radix)[None, :]).ravel()
+    lo = np.searchsorted(sorted_keys, block).reshape(len(uniq), -1)
+    counts = np.searchsorted(sorted_keys, block, "right").reshape(
+        len(uniq), -1) - lo
+    return order, group, lo, counts
 
-    def pack(c: np.ndarray) -> np.ndarray:
-        r = c - base
-        return (r[..., 0] * span[1] + r[..., 1]) * span[2] + r[..., 2]
 
-    keys = pack(cells)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    block = (pack(others)[:, None] + pack(np.asarray(
-        _NEIGHBOUR_OFFSETS, dtype=np.int64) + base)[None, :]).ravel()
-    lo = np.searchsorted(keys, block)
-    inside = np.all((others > base) & (others < base + span - 1), axis=1)
-    counts = np.where(np.repeat(inside, len(_NEIGHBOUR_OFFSETS)),
-                      np.searchsorted(keys, block, "right") - lo, 0)
-    return order, lo, counts
+def _block_pairs(group: np.ndarray, counts: np.ndarray) -> int:
+    """The pairs a query scans: each subject against its cell's block."""
+    return int(np.bincount(group) @ counts.sum(axis=1))
 
 
 class _LastRows(NamedTuple):
@@ -132,8 +128,8 @@ def naive_relevant(
 ) -> Set[str]:
     """Reference O(N) linear scan over every entity.
 
-    This is the original (pre-grid) relevance computation, kept as the
-    oracle for the grid/naive equivalence property tests and for
+    This is the original (pre-index) relevance computation, kept as the
+    oracle for the index/naive equivalence property tests and for
     documentation of the policy: always-relevant ids are unconditionally
     included and do not count against the nearest-k cap; the subject
     itself is excluded; ties at equal distance break lexicographically
@@ -158,83 +154,14 @@ def naive_relevant(
     return always | nearest
 
 
-class SpatialHashGrid:
-    """Uniform spatial hash over a fixed set of entity positions.
-
-    Entities are bucketed into cubic cells of ``cell_size`` metres keyed
-    by their floored integer coordinates.  Built once per tick from the
-    stacked (N, 3) position array; a query gathers the candidate index
-    arrays of the 27 cells around a point, which is exhaustive for any
-    radius <= ``cell_size``.
-    """
-
-    def __init__(self, ids: List[str], points: np.ndarray, cell_size: float):
-        if cell_size <= 0:
-            raise ValueError("cell size must be positive")
-        self.ids = ids
-        self.points = points
-        self.cell_size = cell_size
-        self._cells: Dict[tuple, np.ndarray] = {}
-        if len(ids):
-            cells = np.floor(points / cell_size).astype(np.int64)
-            order = np.lexsort((cells[:, 2], cells[:, 1], cells[:, 0]))
-            sorted_cells = cells[order]
-            change = np.nonzero(
-                np.any(sorted_cells[1:] != sorted_cells[:-1], axis=1)
-            )[0] + 1
-            starts = np.concatenate(([0], change))
-            ends = np.concatenate((change, [len(order)]))
-            keys = sorted_cells[starts].tolist()
-            self._cells = {
-                tuple(key): order[s:e]
-                for key, s, e in zip(keys, starts, ends)
-            }
-
-    @classmethod
-    def from_positions(
-        cls, positions: Mapping[str, np.ndarray], cell_size: float
-    ) -> "SpatialHashGrid":
-        """Stack a ``{id: (3,) position}`` mapping into a grid."""
-        ids = list(positions)
-        if ids:
-            points = np.array([positions[i] for i in ids], dtype=float)
-        else:
-            points = np.empty((0, 3), dtype=float)
-        return cls(ids, points, cell_size)
-
-    @property
-    def n_cells(self) -> int:
-        return len(self._cells)
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def candidate_indices(self, point: np.ndarray) -> np.ndarray:
-        """Indices of entities in the 3x3x3 cell block around ``point``."""
-        if not self._cells:
-            return _EMPTY_INDICES
-        base = np.floor(np.asarray(point, dtype=float) / self.cell_size)
-        cx, cy, cz = int(base[0]), int(base[1]), int(base[2])
-        chunks = []
-        for dx, dy, dz in _NEIGHBOUR_OFFSETS:
-            bucket = self._cells.get((cx + dx, cy + dy, cz + dz))
-            if bucket is not None:
-                chunks.append(bucket)
-        if not chunks:
-            return _EMPTY_INDICES
-        if len(chunks) == 1:
-            return chunks[0]
-        return np.concatenate(chunks)
-
-
 class InterestManager:
-    """Computes each subscriber's relevant entity set via a spatial grid."""
+    """Computes each subscriber's relevant entity set via a cell index."""
 
     def __init__(self, config: InterestConfig = InterestConfig()):
         self.config = config
         #: Candidate (subscriber, entity) pairs examined by the most recent
         #: query; the server's cost model charges ``per_entity_scan`` for
-        #: each, so modeled tick cost tracks actual grid work, not N x N.
+        #: each, so modeled tick cost tracks actual index work, not N x N.
         self.last_pairs_scanned = 0
         self._sq_limit: Optional[Tuple[float, float]] = None
         #: The last :meth:`relevant_slots` answer, reused row by row.
@@ -294,7 +221,7 @@ class InterestManager:
         :func:`naive_relevant`).
 
         Returns ``(offsets, flat)``: subject i's relevant entity rows are
-        ``flat[offsets[i]:offsets[i + 1]]``.  One grid build, one fused
+        ``flat[offsets[i]:offsets[i + 1]]``.  One index build, one fused
         distance computation over every (subject, candidate) pair, and one
         global lexsort replace the per-subject Python ranking loop.
         """
@@ -306,17 +233,19 @@ class InterestManager:
             counts = np.zeros(s, dtype=np.int64)
             self.last_pairs_scanned = 0
         else:
-            grid = SpatialHashGrid([None] * n, points, self.config.radius_m)
+            size = self.config.radius_m
             subject_points = np.asarray(subject_points, dtype=float)
-            # Subjects sharing a grid cell share their candidate block:
-            # gather once per distinct cell, not once per subject.
-            cells = np.floor(subject_points / grid.cell_size).astype(np.int64)
-            uniq, group = np.unique(_pack_cells(cells, grid.cell_size),
-                                    return_inverse=True)
-            group = group.reshape(-1)
+            index, group, lo, block_counts = _cell_blocks(
+                np.floor(points / size), np.floor(subject_points / size))
+            self.last_pairs_scanned = _block_pairs(group, block_counts)
+            # Subjects sharing a cell share their candidate block: one
+            # gather takes every distinct cell's block as one slice.
+            blocks = index[concat_ranges(lo.ravel(), block_counts.ravel())]
+            sizes = block_counts.sum(axis=1)
+            block_bounds = np.concatenate(([0], np.cumsum(sizes)))
             order = np.argsort(group, kind="stable")
             bounds = np.searchsorted(
-                group[order], np.arange(len(uniq) + 1))
+                group[order], np.arange(len(sizes) + 1))
             px, py, pz = (np.ascontiguousarray(points[:, a])
                           for a in range(3))
             qx, qy, qz = (np.ascontiguousarray(subject_points[:, a])
@@ -327,14 +256,9 @@ class InterestManager:
             cand_parts: List[np.ndarray] = []
             subj_parts: List[np.ndarray] = []
             dist_parts: List[np.ndarray] = []
-            total = 0
-            for g in range(len(uniq)):
+            for g in np.flatnonzero(sizes):
                 sg = order[bounds[g]:bounds[g + 1]]
-                block = grid.candidate_indices(
-                    cells[sg[0]] * grid.cell_size + 0.5 * grid.cell_size)
-                if not len(block):
-                    continue
-                total += len(sg) * len(block)
+                block = blocks[block_bounds[g]:block_bounds[g + 1]]
                 # Dense (subjects-in-cell, block) broadcast: identical
                 # differences and float evaluation order to the pairwise
                 # form, with no million-element index gathers.
@@ -349,7 +273,6 @@ class InterestManager:
                 cand_parts.append(block[ci])
                 subj_parts.append(sg[si])
                 dist_parts.append(sq[si, ci])
-            self.last_pairs_scanned = total
             if cand_parts:
                 cand = np.concatenate(cand_parts)
                 subj = np.concatenate(subj_parts)
@@ -446,20 +369,13 @@ class InterestManager:
     def pairs_scanned(self, points: np.ndarray,
                       subject_points: np.ndarray) -> int:
         """The pairs :meth:`relevant_indices_batch` scans for these
-        subjects, from grid-cell occupancy alone: no distance is taken."""
+        subjects, from cell occupancy alone: no distance is taken."""
         if not len(points) or not len(subject_points):
             return 0
         size = self.config.radius_m
-        # The query gathers once per distinct subject cell, the block
-        # around its centre.
-        cells = np.floor(subject_points / size).astype(np.int64)
-        _keys, first, subjects = np.unique(
-            _pack_cells(cells, size), return_index=True, return_counts=True)
-        centres = np.floor((cells[first] * size + 0.5 * size)
-                           / size).astype(np.int64)
-        _order, _lo, counts = _block_ranges(
-            np.floor(points / size).astype(np.int64), centres)
-        return int(counts.reshape(len(centres), -1).sum(axis=1) @ subjects)
+        _order, group, _lo, counts = _cell_blocks(
+            np.floor(points / size), np.floor(subject_points / size))
+        return _block_pairs(group, counts)
 
     def relevant_slots(self, world: WorldState,
                        subscriber_ids: List[str]) -> tuple:
@@ -579,15 +495,16 @@ class InterestManager:
         changed, new_pos, old_pos = changed[moved], new_pos[moved], \
             old_pos[moved]
         size = self.config.radius_m
-        subject_cells = np.floor(subject_points[clean] / size).astype(np.int64)
-        new_cells = np.floor(new_pos / size).astype(np.int64)
-        old_cells = np.floor(old_pos / size).astype(np.int64)
+        subject_cells = np.floor(subject_points[clean] / size)
+        new_cells = np.floor(new_pos / size)
+        old_cells = np.floor(old_pos / size)
         crossed = np.flatnonzero(np.any(old_cells != new_cells, axis=1))
-        order, lo, counts = _block_ranges(
+        order, group, lo, counts = _cell_blocks(
             subject_cells, np.concatenate([new_cells, old_cells[crossed]]))
-        near = order[concat_ranges(lo, counts)]
-        at = np.concatenate([np.arange(len(changed)), crossed])[np.repeat(
-            np.arange(len(counts)) // len(_NEIGHBOUR_OFFSETS), counts)]
+        lo, counts = lo[group], counts[group]  # one block per changed cell
+        near = order[concat_ranges(lo.ravel(), counts.ravel())]
+        at = np.repeat(np.concatenate([np.arange(len(changed)), crossed]),
+                       counts.sum(axis=1))
         subj, slot = clean[near], changed[at]
         p = prev[subj]
         last_keys = (np.repeat(
@@ -640,7 +557,7 @@ class InterestManager:
         positions: Mapping[str, np.ndarray],
         subjects: Optional[Mapping[str, np.ndarray]] = None,
     ) -> Dict[str, Set[str]]:
-        """Relevant sets for many subjects against one grid build.
+        """Relevant sets for many subjects against one index build.
 
         ``positions`` maps entity id to (3,) position; ``subjects`` maps
         each query subject to its query point (defaulting to ``positions``
@@ -683,23 +600,14 @@ class InterestManager:
             for i, subject_id in enumerate(subject_ids)
         }
 
-    def relevance_matrix(
-        self, positions: Mapping[str, np.ndarray]
-    ) -> Dict[str, Set[str]]:
-        """Relevant sets for every entity at once (one grid build)."""
-        return self.relevant_batch(positions)
-
 
 class BroadcastInterest(InterestManager):
     """The no-filtering baseline: everyone is relevant to everyone.
 
-    The C3a ablation arm.  It speaks the same indices API as the grid
+    The C3a ablation arm.  It speaks the same indices API as the indexed
     manager, so a :class:`~repro.sync.server.SyncServer` runs it through
     its one tick; the query scans, and reports, all ``s x n`` pairs.
     """
-
-    def __init__(self):
-        super().__init__()
 
     def relevant_indices_batch(
         self,

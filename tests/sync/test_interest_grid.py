@@ -1,11 +1,12 @@
-"""Spatial-hash-grid interest management: unit and equivalence tests.
+"""Cell-indexed interest management: unit and equivalence tests.
 
-The grid must be an invisible optimization: for every configuration it
-returns exactly the sets the original O(N) linear scan
-(:func:`repro.sync.interest.naive_relevant`) returned.  The equivalence
-tests are marked ``interest_equivalence`` so CI can run just them
-(``pytest -m interest_equivalence``) without the benchmark sweep; they
-are part of tier-1 by default.
+The cell index must be an invisible optimization: for every
+configuration it returns exactly the sets the original O(N) linear scan
+(:func:`repro.sync.interest.naive_relevant`) returned, and a position it
+cannot index is an error, never a wrong answer or a wrong pair count.
+The equivalence tests are marked ``interest_equivalence`` so CI can run
+just them (``pytest -m interest_equivalence``) without the benchmark
+sweep; they are part of tier-1 by default.
 """
 
 import numpy as np
@@ -13,53 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.avatar.state import AvatarState
+from repro.sensing.pose import Pose
+from repro.sync.delta import WorldState
 from repro.sync.interest import (
     BroadcastInterest,
     InterestConfig,
     InterestManager,
-    SpatialHashGrid,
     naive_relevant,
 )
-
-
-# -- grid structure ----------------------------------------------------------
-
-
-def test_grid_buckets_points_by_cell():
-    positions = {
-        "a": np.array([0.1, 0.1, 0.1]),
-        "b": np.array([0.2, 0.2, 0.2]),   # same cell as a
-        "c": np.array([5.0, 0.0, 0.0]),   # different cell
-    }
-    grid = SpatialHashGrid.from_positions(positions, cell_size=1.0)
-    assert len(grid) == 3
-    assert grid.n_cells == 2
-
-
-def test_grid_candidates_cover_radius():
-    rng = np.random.default_rng(7)
-    positions = {f"p{i}": rng.uniform(-30, 30, size=3) for i in range(200)}
-    radius = 4.0
-    grid = SpatialHashGrid.from_positions(positions, cell_size=radius)
-    ids = grid.ids
-    for query in rng.uniform(-30, 30, size=(20, 3)):
-        candidates = {ids[i] for i in grid.candidate_indices(query)}
-        for pid, pos in positions.items():
-            if np.linalg.norm(pos - query) <= radius:
-                assert pid in candidates
-    # ...and the candidate block is far smaller than the full world.
-    assert len(grid.candidate_indices(np.zeros(3))) < len(positions)
-
-
-def test_grid_empty_world():
-    grid = SpatialHashGrid.from_positions({}, cell_size=2.0)
-    assert len(grid) == 0
-    assert grid.candidate_indices(np.zeros(3)).size == 0
-
-
-def test_grid_rejects_bad_cell_size():
-    with pytest.raises(ValueError):
-        SpatialHashGrid.from_positions({}, cell_size=0.0)
 
 
 # -- batch API ---------------------------------------------------------------
@@ -92,13 +55,16 @@ def test_relevant_batch_tracks_pairs_scanned():
     manager.relevant_batch(positions)
     n = len(positions)
     assert 0 < manager.last_pairs_scanned < n * n
+    # The empty world scans nothing and answers nothing.
+    assert manager.relevant_batch({}) == {}
+    assert manager.last_pairs_scanned == 0
 
 
 def test_out_of_range_subject_cell_raises_instead_of_aliasing():
-    """Subject cells are packed into 21-bit fields per axis.  A cell
-    coordinate of 2^20 carries into the next field and would share a
-    packed cell with an unrelated subject, which then silently loses the
-    neighbour :func:`naive_relevant` finds."""
+    """Cell keys are mixed-radix over the box around every entity and
+    subject cell, so cells far from the origin are exact as long as the
+    box fits the key arithmetic; a box that does not is an error, never a
+    cell that aliases another and silently loses a neighbour."""
     edge = float(1 << 20)
     config = InterestConfig(radius_m=1.0, max_entities=8)
     positions = {
@@ -107,15 +73,47 @@ def test_out_of_range_subject_cell_raises_instead_of_aliasing():
         "mate": np.array([0.5, 1.5, -edge + 0.9]),
     }
     manager = InterestManager(config)
-    with pytest.raises(ValueError, match="range"):
-        manager.relevant_batch(positions)
-    # The lowest packable cell is still accepted, and still exact.
-    inside = {k: v for k, v in positions.items() if k != "far"}
-    got = manager.relevant_batch(inside)
-    for subject_id, position in inside.items():
+    got = manager.relevant_batch(positions)
+    for subject_id, position in positions.items():
         assert got[subject_id] == naive_relevant(
-            config, subject_id, position, inside)
+            config, subject_id, position, positions)
     assert got["low"] == {"mate"}
+    assert got["far"] == set()
+    # A box of 2^22 cells a side holds 2^66 keys: too many for int64.
+    wide = float(1 << 21)
+    corners = {
+        "low": np.array([-wide, -wide, -wide]),
+        "high": np.array([wide, wide, wide]),
+    }
+    with pytest.raises(ValueError, match="2\\^62"):
+        manager.relevant_batch(corners)
+
+
+@pytest.mark.interest_equivalence
+@pytest.mark.parametrize("far", [np.nan, np.inf, 1e19, 4e18])
+def test_unindexable_position_raises_for_query_count_and_reuse(far):
+    """A non-finite position, or a cell beyond what the keys can hold, is
+    the same error for the query, for the pair count the server charges,
+    and for the reuse test of the server's tick, wherever the entity is
+    relative to the subjects."""
+    config = InterestConfig(radius_m=1.0, max_entities=8)
+    manager = InterestManager(config)
+    points = np.array([[0.5, 0.5, 0.5], [0.6, 0.5, 0.5], [far, 0.5, 0.5]])
+    with pytest.raises(ValueError, match="finite"):
+        manager.relevant_indices_batch(
+            points, points[:2], np.array([0, 1]),
+            np.empty(0, dtype=np.int64), np.arange(3))
+    with pytest.raises(ValueError, match="finite"):
+        manager.pairs_scanned(points, points[:2])
+    # The tick's reuse: "c" moves out to ``far`` while the subjects stay.
+    world = WorldState()
+    for pid, row in zip("abc", points[:2].tolist() + [[0.7, 0.5, 0.5]]):
+        world.apply(AvatarState(pid, 1.0, Pose(np.array(row)), seq=1))
+    manager.relevant_slots(world, ["a", "b"])
+    world.apply(AvatarState("c", 2.0, Pose(points[2]), seq=2))
+    with pytest.raises(ValueError, match="finite") as raised:
+        manager.relevant_slots(world, ["a", "b"])
+    assert any(entry.name == "_stale_rows" for entry in raised.traceback)
 
 
 def test_broadcast_batch_matches_single_subject():
@@ -210,3 +208,7 @@ def test_grid_matches_naive_hypothesis(n, radius, cap, seed):
         assert batch[subject_id] == naive_relevant(
             config, subject_id, positions[subject_id], positions
         )
+    # The count the server charges for reused rows is the query's own.
+    points = np.array(list(positions.values())).reshape(-1, 3)
+    assert manager.pairs_scanned(points, points) \
+        == manager.last_pairs_scanned
