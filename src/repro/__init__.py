@@ -18,29 +18,36 @@ Quick start::
     print(report.cross_campus_visibility())   # 1.0 — everyone replicated
 """
 
-from repro.core import (
-    ClassSession,
-    DeploymentReport,
-    MetaverseClassroom,
-    Participant,
-    PhysicalClassroom,
-    Role,
-    SessionReport,
-    build_unit_case,
-)
-from repro.simkit import Simulator
+import importlib
+
+# The root stays lazy (PEP 562): importing any ``repro`` subpackage runs
+# this file, so it names its exports here and imports their modules only
+# when one is first read.
+_EXPORTS = {
+    "ClassSession": "repro.core",
+    "DeploymentReport": "repro.core",
+    "MetaverseClassroom": "repro.core",
+    "Participant": "repro.core",
+    "PhysicalClassroom": "repro.core",
+    "Role": "repro.core",
+    "SessionReport": "repro.core",
+    "Simulator": "repro.simkit",
+    "build_unit_case": "repro.core",
+}
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))
+
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ClassSession",
-    "DeploymentReport",
-    "MetaverseClassroom",
-    "Participant",
-    "PhysicalClassroom",
-    "Role",
-    "SessionReport",
-    "Simulator",
-    "build_unit_case",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.avatar.retarget import SeatTransform
 
@@ -110,6 +109,8 @@ def _solve_matching(
     target_center: np.ndarray,
 ) -> Dict[str, Seat]:
     """One assignment round against a fixed target-frame centre."""
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.zeros((len(participants), len(vacant)))
     for i, pid in enumerate(participants):
         for j, seat in enumerate(vacant):

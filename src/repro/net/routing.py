@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-import networkx as nx
-
 from repro.net.topology import Topology
 
 
@@ -16,14 +14,13 @@ class RoutingTable:
         self._next_hops = next_hops
 
     @classmethod
-    def from_topology(cls, topology: Topology, weight: str = "delay") -> "RoutingTable":
+    def from_topology(cls, topology: Topology) -> "RoutingTable":
+        """One shortest-path tree per destination, the same trees that
+        :meth:`Topology.shortest_path` follows, so the two agree."""
         next_hops: Dict[Tuple[str, str], str] = {}
-        paths = dict(nx.all_pairs_dijkstra_path(topology.graph, weight=weight))
-        for src, targets in paths.items():
-            for dst, path in targets.items():
-                if src == dst or len(path) < 2:
-                    continue
-                next_hops[(src, dst)] = path[1]
+        for dst in topology.sites:
+            for src, hop in topology.next_hops_to(dst).items():
+                next_hops[(src, dst)] = hop
         return cls(next_hops)
 
     def next_hop(self, here: str, dst: str) -> str:

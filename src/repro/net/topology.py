@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
-
-import networkx as nx
 
 from repro.net.geo import GeoPoint
 from repro.net.latency import fiber_delay
@@ -28,21 +27,26 @@ class Topology:
 
     Every edge is backed by two :class:`~repro.net.link.Link` instances (one
     per direction) so multi-hop transfers experience true store-and-forward
-    queueing at every hop.
+    queueing at every hop.  Routes minimise total propagation delay over
+    the ``adjacency`` map ``{site: {neighbour: delay}}``.
     """
 
     def __init__(self, sim: Simulator):
         self.sim = sim
-        self.graph = nx.Graph()
         self.sites: Dict[str, Site] = {}
+        self.adjacency: Dict[str, Dict[str, float]] = {}
         self._links: Dict[Tuple[str, str], Link] = {}
 
     def add_site(self, site: Site) -> Site:
         if site.name in self.sites:
             raise ValueError(f"duplicate site: {site.name!r}")
         self.sites[site.name] = site
-        self.graph.add_node(site.name)
+        self.adjacency[site.name] = {}
         return site
+
+    def _require(self, name: str) -> None:
+        if name not in self.sites:
+            raise KeyError(f"unknown site: {name!r}")
 
     def connect(
         self,
@@ -53,17 +57,19 @@ class Topology:
         stretch: float = 1.4,
         **link_kwargs,
     ) -> None:
-        """Add a duplex edge; delay defaults to the stretched fiber model."""
+        """Add a duplex edge; delay defaults to the stretched fiber model.
+        A pair connects once: channels would keep a replaced edge's links."""
         for name in (a, b):
-            if name not in self.sites:
-                raise KeyError(f"unknown site: {name!r}")
+            self._require(name)
+        if a == b or b in self.adjacency[a]:
+            raise ValueError(f"cannot connect {a!r} and {b!r}: self-loop or existing edge")
         if prop_delay is None:
             prop_delay = fiber_delay(self.sites[a].geo, self.sites[b].geo, stretch)
         forward = Link(self.sim, rate_bps, prop_delay, name=f"{a}->{b}", **link_kwargs)
         backward = Link(self.sim, rate_bps, prop_delay, name=f"{b}->{a}", **link_kwargs)
         self._links[(a, b)] = forward
         self._links[(b, a)] = backward
-        self.graph.add_edge(a, b, delay=prop_delay, rate=rate_bps)
+        self.adjacency[a][b] = self.adjacency[b][a] = prop_delay
 
     def link(self, a: str, b: str) -> Link:
         try:
@@ -71,12 +77,39 @@ class Topology:
         except KeyError:
             raise KeyError(f"no link {a!r} -> {b!r}") from None
 
+    def next_hops_to(self, dst: str) -> Dict[str, str]:
+        """Every other reachable site's next hop towards ``dst`` (Dijkstra).
+
+        Sites settle in ``(delay, name)`` order and a hop is replaced only
+        by a strictly shorter one, so equal-delay ties keep the hop settled
+        first, whatever order the edges were added in.
+        """
+        self._require(dst)
+        delay = {dst: 0.0}
+        hops: Dict[str, str] = {}
+        heap = [(0.0, dst)]
+        while heap:
+            here_delay, here = heapq.heappop(heap)
+            if here_delay > delay[here]:
+                continue  # superseded by a shorter entry
+            for there, edge_delay in self.adjacency[here].items():
+                candidate = here_delay + edge_delay
+                if there not in delay or candidate < delay[there]:
+                    delay[there] = candidate
+                    hops[there] = here
+                    heapq.heappush(heap, (candidate, there))
+        return hops
+
     def shortest_path(self, a: str, b: str) -> List[str]:
         """Minimum-propagation-delay route between two sites."""
-        try:
-            return nx.shortest_path(self.graph, a, b, weight="delay")
-        except nx.NetworkXNoPath:
-            raise ValueError(f"no route between {a!r} and {b!r}") from None
+        self._require(a)
+        hops = self.next_hops_to(b)
+        route = [a]
+        while route[-1] != b:
+            if route[-1] not in hops:
+                raise ValueError(f"no route between {a!r} and {b!r}")
+            route.append(hops[route[-1]])
+        return route
 
     def path_propagation_delay(self, a: str, b: str) -> float:
         """Sum of propagation delays along the best route (no queueing)."""

@@ -1,6 +1,10 @@
 """Unit tests for nodes, topology, routing, and path channels."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.geo import WORLD_CITIES, GeoPoint
 from repro.net.node import Node, connect
@@ -66,6 +70,29 @@ def test_topology_connect_unknown_site():
         topo.connect("x", "y", rate_bps=1e6)
 
 
+@pytest.mark.parametrize("query", ["shortest_path", "channel", "path_propagation_delay"])
+def test_route_queries_name_an_unknown_site(query):
+    topo = build_triangle(Simulator())
+    for a, b in (("mars", "gz"), ("cwb", "mars"), ("mars", "mars")):
+        with pytest.raises(KeyError, match="mars"):
+            getattr(topo, query)(a, b)
+
+
+def test_connect_rejects_existing_edge_and_self_loop():
+    sim = Simulator()
+    topo = build_triangle(sim)
+    channel = topo.channel("cwb", "gz")
+    for a, b in (("cwb", "gz"), ("gz", "cwb"), ("gz", "gz")):
+        with pytest.raises(ValueError):
+            topo.connect(a, b, rate_bps=1e6)
+    # The links channels were built over are still the topology's links,
+    # so taking one down reaches them.
+    topo.link("cwb", "gz").up = False
+    assert channel.links == [topo.link("cwb", "gz")] and not channel.links[0].up
+    with pytest.raises(KeyError):
+        topo.link("gz", "gz")
+
+
 def test_shortest_path_avoids_slow_edge():
     sim = Simulator()
     topo = build_triangle(sim)
@@ -116,3 +143,65 @@ def test_routing_table_full_route():
         table.next_hop("cwb", "cwb")
     with pytest.raises(KeyError):
         table.next_hop("cwb", "mars")
+
+
+@st.composite
+def tied_graphs(draw):
+    """A small graph with integer delays (ties are common, including zero
+    delays) and two independent edge insertion orders."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    names = [f"s{i}" for i in draw(st.permutations(range(n)))]
+    pairs = list(itertools.combinations(names, 2))
+    edges = [(a, b, draw(st.integers(min_value=0, max_value=3)))
+             for a, b in pairs if draw(st.booleans())]
+    return names, draw(st.permutations(edges)), draw(st.permutations(edges))
+
+
+def _build(names, edges):
+    topo = Topology(Simulator())
+    for name in names:
+        topo.add_site(Site(name, GeoPoint(0, 0)))
+    for a, b, delay in edges:
+        topo.connect(a, b, rate_bps=1e9, prop_delay=float(delay))
+    return topo
+
+
+def _brute_force_delays(names, edges):
+    """Minimum delay of every reachable ordered pair, over all simple paths."""
+    weight = {}
+    for a, b, delay in edges:
+        weight[(a, b)] = weight[(b, a)] = delay
+    best = {}
+
+    def walk(path, total):
+        key = (path[0], path[-1])
+        best[key] = min(best.get(key, total), total)
+        for there in names:
+            if there not in path and (path[-1], there) in weight:
+                walk(path + [there], total + weight[(path[-1], there)])
+
+    for name in names:
+        walk([name], 0)
+    return best
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_graphs())
+def test_routes_agree_and_are_shortest_on_ties(graph):
+    names, edges, reordered = graph
+    topo = _build(names, edges)
+    other = _build(list(reversed(names)), reordered)
+    table = RoutingTable.from_topology(topo)
+    best = _brute_force_delays(names, edges)
+    for src, dst in itertools.permutations(names, 2):
+        if (src, dst) not in best:
+            with pytest.raises(ValueError):
+                topo.shortest_path(src, dst)
+            with pytest.raises(KeyError):
+                table.route(src, dst)
+            continue
+        path = topo.shortest_path(src, dst)
+        assert path == table.route(src, dst)
+        assert path == other.shortest_path(src, dst)
+        assert path[0] == src and path[-1] == dst
+        assert topo.path_propagation_delay(src, dst) == best[(src, dst)]
