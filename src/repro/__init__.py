@@ -44,10 +44,6 @@ def __getattr__(name):
     return value
 
 
-def __dir__():
-    return sorted(set(globals()) | set(_EXPORTS))
-
-
 __version__ = "1.0.0"
 
 __all__ = [*_EXPORTS, "__version__"]

@@ -27,21 +27,20 @@ class Topology:
 
     Every edge is backed by two :class:`~repro.net.link.Link` instances (one
     per direction) so multi-hop transfers experience true store-and-forward
-    queueing at every hop.  Routes minimise total propagation delay over
-    the ``adjacency`` map ``{site: {neighbour: delay}}``.
+    queueing at every hop.  Routes minimise total propagation delay.
     """
 
     def __init__(self, sim: Simulator):
         self.sim = sim
         self.sites: Dict[str, Site] = {}
-        self.adjacency: Dict[str, Dict[str, float]] = {}
+        self._adjacency: Dict[str, Dict[str, float]] = {}  # site -> neighbour -> delay
         self._links: Dict[Tuple[str, str], Link] = {}
 
     def add_site(self, site: Site) -> Site:
         if site.name in self.sites:
             raise ValueError(f"duplicate site: {site.name!r}")
         self.sites[site.name] = site
-        self.adjacency[site.name] = {}
+        self._adjacency[site.name] = {}
         return site
 
     def _require(self, name: str) -> None:
@@ -61,7 +60,7 @@ class Topology:
         A pair connects once: channels would keep a replaced edge's links."""
         for name in (a, b):
             self._require(name)
-        if a == b or b in self.adjacency[a]:
+        if a == b or b in self._adjacency[a]:
             raise ValueError(f"cannot connect {a!r} and {b!r}: self-loop or existing edge")
         if prop_delay is None:
             prop_delay = fiber_delay(self.sites[a].geo, self.sites[b].geo, stretch)
@@ -69,7 +68,7 @@ class Topology:
         backward = Link(self.sim, rate_bps, prop_delay, name=f"{b}->{a}", **link_kwargs)
         self._links[(a, b)] = forward
         self._links[(b, a)] = backward
-        self.adjacency[a][b] = self.adjacency[b][a] = prop_delay
+        self._adjacency[a][b] = self._adjacency[b][a] = prop_delay
 
     def link(self, a: str, b: str) -> Link:
         try:
@@ -92,7 +91,7 @@ class Topology:
             here_delay, here = heapq.heappop(heap)
             if here_delay > delay[here]:
                 continue  # superseded by a shorter entry
-            for there, edge_delay in self.adjacency[here].items():
+            for there, edge_delay in self._adjacency[here].items():
                 candidate = here_delay + edge_delay
                 if there not in delay or candidate < delay[there]:
                     delay[there] = candidate
