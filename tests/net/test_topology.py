@@ -148,13 +148,15 @@ def test_routing_table_full_route():
 @st.composite
 def tied_graphs(draw):
     """A small graph with integer delays (ties are common, including zero
-    delays) and two independent edge insertion orders."""
+    delays) and two independent edge insertion orders, the second with
+    every edge connected from its other end."""
     n = draw(st.integers(min_value=2, max_value=6))
     names = [f"s{i}" for i in draw(st.permutations(range(n)))]
     pairs = list(itertools.combinations(names, 2))
     edges = [(a, b, draw(st.integers(min_value=0, max_value=3)))
              for a, b in pairs if draw(st.booleans())]
-    return names, draw(st.permutations(edges)), draw(st.permutations(edges))
+    flipped = [(b, a, delay) for a, b, delay in edges]
+    return names, draw(st.permutations(edges)), draw(st.permutations(flipped))
 
 
 def _build(names, edges):
