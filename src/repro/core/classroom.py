@@ -21,8 +21,6 @@ from repro.workload.traces import MotionTrace, SeatedMotion
 
 #: Serialized size of one pose sample on the WiFi uplink (pose + header).
 POSE_SAMPLE_BYTES = 64
-#: Wired sensor-rig frames carry several candidate detections.
-SENSOR_FRAME_BYTES = 256
 WIRED_SENSOR_DELAY = 0.001
 
 

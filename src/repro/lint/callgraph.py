@@ -24,6 +24,11 @@ fallback that links ``x.fingerprint()`` to every function named
 ``fingerprint``.  Over-approximation is deliberate: a false "sensitive"
 costs a ``sorted()`` or a pragma; a false "insensitive" costs a broken
 replay.
+
+The same pass builds ARCH003's use index, :attr:`ProjectIndex.referenced`:
+the set of names any linted file mentions outside a package re-export.
+It is matched by bare name, so it errs the same safe way: one use of a
+name keeps every definition of that name alive.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from __future__ import annotations
 import ast
 import fnmatch
 from collections import deque
-from typing import TYPE_CHECKING, Dict, List, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Sequence, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.engine import SourceFile
@@ -57,6 +62,8 @@ SINK_FUNCTION_NAMES: Tuple[str, ...] = (
 )
 
 FuncKey = Tuple[str, str]  # (module, qualname)
+
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 class FunctionInfo:
@@ -122,6 +129,44 @@ class _FunctionCollector(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+def _references(node: ast.AST) -> Iterator[str]:
+    """The names one node refers to: a ``Name`` id, an ``Attribute``
+    attr, a ``from ... import`` alias, or a string constant (the way
+    ``perf/tracing.py`` names the classes it hooks)."""
+    if isinstance(node, ast.Name):
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    elif isinstance(node, ast.ImportFrom):
+        for item in node.names:
+            yield item.name
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        yield node.value
+
+
+def _referenced_names(files: Sequence["SourceFile"]) -> Set[str]:
+    """Every name referenced by some file, for ARCH003.
+
+    Export lists are not uses: a package ``__init__.py`` is skipped, and
+    so is a module's own ``__all__``.  A top-level definition's
+    references to its own name (recursion, a method returning its
+    class) do not count as a use of it either.
+    """
+    names: Set[str] = set()
+    for file in files:
+        if file.is_package:
+            continue
+        for stmt in file.tree.body:
+            if isinstance(stmt, ast.Assign) and any(
+                    isinstance(target, ast.Name) and target.id == "__all__"
+                    for target in stmt.targets):
+                continue
+            own = stmt.name if isinstance(stmt, _DEFINITIONS) else None
+            names.update(name for node in ast.walk(stmt)
+                         for name in _references(node) if name != own)
+    return names
+
+
 class ProjectIndex:
     """Cross-file indexes shared by every rule in one engine run."""
 
@@ -138,6 +183,8 @@ class ProjectIndex:
                 self.functions[key] = info
                 self.by_name.setdefault(info.name, []).append(key)
         self._sensitive: Set[FuncKey] = self._compute_sensitive()
+        #: Every name some linted file refers to (ARCH003's use index).
+        self.referenced: Set[str] = _referenced_names(self.files)
 
     # -- sensitivity -------------------------------------------------------
 

@@ -337,8 +337,9 @@ class LintEngine:
         return report
 
 
-def lint_sources(named_sources: Dict[str, str],
-                 rules: Optional[Iterable[Rule]] = None) -> LintReport:
+def lint_sources(  # replint: ignore[ARCH003] -- lint API for in-memory sources
+        named_sources: Dict[str, str],
+        rules: Optional[Iterable[Rule]] = None) -> LintReport:
     """Lint ``{rel_path: source}`` pairs — the fixture-test entry point."""
     engine = LintEngine(rules=rules)
     return engine.run_sources(
@@ -346,15 +347,17 @@ def lint_sources(named_sources: Dict[str, str],
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI: ``python -m repro.lint src benchmarks [--format=json]``."""
+    """CLI: ``python -m repro.lint src benchmarks perf examples
+    [--format=json]``."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description="replint: determinism & layering static analysis")
-    parser.add_argument("paths", nargs="*", default=["src", "benchmarks"],
+    parser.add_argument("paths", nargs="*",
+                        default=["src", "benchmarks", "perf", "examples"],
                         help="files or directories to lint "
-                             "(default: src benchmarks)")
+                             "(default: src benchmarks perf examples)")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--output", default=None,
                         help="write the report here as well as stdout")

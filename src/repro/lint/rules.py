@@ -27,13 +27,16 @@ Architecture rules (the layering contract):
 * **ARCH002** — benchmarks emit results only through
   ``benchmarks/_emit.py``; no direct ``open(..., "w")`` / ``json.dump``
   / ``write_text`` in ``bench_*.py``.
+* **ARCH003** — every top-level public function or class in ``src/``
+  is referenced by some linted file other than a package re-export.
+  ``tests/`` is never linted, so code that only tests call is flagged.
 """
 
 from __future__ import annotations
 
 import ast
 import fnmatch
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.lint.engine import (
     FileContext,
@@ -504,3 +507,42 @@ class BenchEmitRule(Rule):
                         "direct write_text/write_bytes in a benchmark: "
                         "use _emit.write_bench_json / "
                         "_emit.write_artifact")
+
+
+# ---------------------------------------------------------------------------
+# ARCH003 — public src/ code has a caller outside tests
+# ---------------------------------------------------------------------------
+
+_Definition = Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef]
+
+
+def _is_registered(node: _Definition) -> bool:
+    """True for a definition decorated with ``@register``: registering
+    a class is its use."""
+    return any(
+        (isinstance(dec, ast.Name) and dec.id == "register")
+        or (isinstance(dec, ast.Attribute) and dec.attr == "register")
+        for dec in node.decorator_list)
+
+
+@register
+class UnreferencedPublicRule(Rule):
+    code = "ARCH003"
+    summary = ("public src/ function or class that nothing but tests and "
+               "package re-exports refers to")
+
+    def check(self, ctx: FileContext) -> Iterator[Violation]:
+        if not ctx.rel_path.startswith("src/"):
+            return
+        referenced = ctx.project.referenced
+        for node in ctx.tree.body:
+            if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef))
+                    or node.name.startswith("_")
+                    or node.name in referenced or _is_registered(node)):
+                continue
+            yield self.violation(
+                ctx, node,
+                f"public {node.name!r} has no caller outside tests: "
+                "delete it, or keep deliberate API with a pragma and "
+                "its reason")

@@ -15,7 +15,7 @@ from repro.media.audio import AudioStream, lip_sync_offset
 from repro.media.codec import Frame, FrameType, VideoCodecModel
 from repro.media.jitterbuffer import JitterBuffer
 from repro.media.slides import SlideDeckStream, WhiteboardStream
-from repro.media.spatial import SpatialAudioScene, classroom_intelligibility
+from repro.media.spatial import SpatialAudioScene
 from repro.media.stream import StreamReport, VideoStreamSession
 from repro.media.video360 import TiledSphere, Viewport360Config
 
@@ -34,6 +34,5 @@ __all__ = [
     "Viewport360Config",
     "VideoStreamSession",
     "WhiteboardStream",
-    "classroom_intelligibility",
     "lip_sync_offset",
 ]

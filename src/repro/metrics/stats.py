@@ -49,7 +49,7 @@ def summarize(values: Sequence[float]) -> Summary:
     )
 
 
-def bootstrap_ci(
+def bootstrap_ci(  # replint: ignore[ARCH003] -- test-only, queued for deletion
     values: Sequence[float],
     confidence: float = 0.95,
     n_resamples: int = 2000,

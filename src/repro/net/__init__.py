@@ -4,9 +4,8 @@ The paper's architecture (Figure 3) moves pose/expression data over campus
 WiFi and wired LANs to edge servers, then over WAN links between campuses
 and to the cloud.  This package simulates those paths with store-and-forward
 queued links, a geographic propagation-delay model (fiber speed + route
-stretch + peering penalties), an 802.11-style contention model, reliable and
-unreliable transports, and application-level block FEC as used by the
-Nebula-style video experiments.  :mod:`repro.net.faults` adds
+stretch + peering penalties), an 802.11-style contention model, a reliable
+transport, and packet-level block FEC.  :mod:`repro.net.faults` adds
 deterministic fault injection on top — scheduled link outages,
 Gilbert–Elliott burst loss, latency-spike windows and server
 crash/restart schedules — for the robustness experiments.
@@ -29,14 +28,12 @@ from repro.net.latency import WanLatencyModel
 from repro.net.link import Link, LinkStats
 from repro.net.node import Node, connect
 from repro.net.packet import Packet
-from repro.net.routing import RoutingTable
 from repro.net.topology import PathChannel, Site, Topology
-from repro.net.transport import DatagramChannel, ReliableChannel
+from repro.net.transport import ReliableChannel
 from repro.net.wifi import WifiNetwork
 
 __all__ = [
     "BlockCode",
-    "DatagramChannel",
     "FaultEvent",
     "FaultInjector",
     "FaultLog",
@@ -54,7 +51,6 @@ __all__ = [
     "Packet",
     "PathChannel",
     "ReliableChannel",
-    "RoutingTable",
     "Site",
     "TokenBucket",
     "Topology",

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Optional
 
 
-class TokenBucket:
+class TokenBucket:  # replint: ignore[ARCH003] -- test-only, queued for deletion
     """A classic token bucket: ``rate_bps`` sustained, ``burst_bytes`` burst.
 
     ``conform_delay`` answers "how long must this packet wait to conform?"

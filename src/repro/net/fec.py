@@ -73,7 +73,7 @@ class _Generation:
     recovered: bool = False
 
 
-class FecEncoder:
+class FecEncoder:  # replint: ignore[ARCH003] -- test-only, queued for deletion
     """Groups source packets into generations and emits repair packets.
 
     ``on_emit(payload, is_repair, generation, index)`` is called for every
@@ -109,7 +109,7 @@ class FecEncoder:
         self._buffered = []
 
 
-class FecDecoder:
+class FecDecoder:  # replint: ignore[ARCH003] -- test-only, queued for deletion
     """Receives packets of generations and recovers erased source packets.
 
     ``on_deliver(payload)`` fires once per source packet, either on direct

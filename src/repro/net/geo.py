@@ -83,7 +83,7 @@ CITY_REGIONS = {
 }
 
 
-def region_of(city: str) -> str:
+def region_of(city: str) -> str:  # replint: ignore[ARCH003] -- test-only, queued for deletion
     """Region label for a known city name."""
     try:
         return CITY_REGIONS[city]

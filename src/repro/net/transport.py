@@ -1,8 +1,8 @@
-"""Datagram and reliable transports over path channels.
+"""Reliable transport over path channels.
 
-The sync protocol rides the unreliable datagram channel (a late pose update
-is worthless); video control, slides and the content ledger use the
-reliable channel, a miniature ARQ with Jacobson/Karels RTO estimation and
+Pose updates go straight onto a channel, unacknowledged: a late pose
+update is worthless.  Traffic that must arrive uses the reliable
+channel, a miniature ARQ with Jacobson/Karels RTO estimation and
 in-order delivery.
 """
 
@@ -13,43 +13,6 @@ from typing import Any, Callable, Dict, Optional, Set
 
 from repro.net.packet import Packet
 from repro.simkit.engine import Simulator
-
-
-class DatagramChannel:
-    """Fire-and-forget wrapper around any ``send(packet, deliver)`` channel."""
-
-    def __init__(self, sim: Simulator, channel, src: str, dst: str):
-        self.sim = sim
-        self.channel = channel
-        self.src = src
-        self.dst = dst
-        self.sent = 0
-
-    def send(
-        self,
-        payload: Any,
-        size_bytes: int,
-        kind: str = "data",
-        deliver: Optional[Callable[[Packet], None]] = None,
-        ctx: Any = None,
-        stage: str = "net",
-    ) -> Packet:
-        """Fire one datagram; ``ctx`` (a span context) makes the underlying
-        channel record the transit as a ``stage``-tagged child span."""
-        packet = Packet(
-            src=self.src,
-            dst=self.dst,
-            size_bytes=size_bytes,
-            kind=kind,
-            payload=payload,
-            created_at=self.sim.now,
-        )
-        if ctx is not None:
-            packet.meta["obs_ctx"] = ctx
-            packet.meta["obs_stage"] = stage
-        self.sent += 1
-        self.channel.send(packet, deliver if deliver is not None else lambda _p: None)
-        return packet
 
 
 @dataclass

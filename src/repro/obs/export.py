@@ -121,7 +121,8 @@ def prometheus_text(registry: MetricsRegistry,
     return "\n".join(lines) + "\n"
 
 
-def metrics_json(registry: MetricsRegistry) -> Dict[str, float]:
+def metrics_json(  # replint: ignore[ARCH003] -- test-only, queued for deletion
+        registry: MetricsRegistry) -> Dict[str, float]:
     """The registry's flat snapshot, guaranteed JSON-serializable."""
     return {
         key: (None if isinstance(value, float) and not math.isfinite(value)
@@ -180,7 +181,8 @@ def chrome_trace(spans: Iterable[Span],
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def report_json(report) -> Dict[str, Any]:
+def report_json(  # replint: ignore[ARCH003] -- pinned by tests/golden/mtp_report.json
+        report) -> Dict[str, Any]:
     """A :class:`~repro.obs.report.MotionToPhotonReport` as plain JSON."""
     stages = {}
     for stage in report.stages:

@@ -20,15 +20,12 @@ class FoveationConfig:
 
     fovea_radius_deg: float = 15.0
     periphery_cost_scale: float = 0.25   # relative shading cost out there
-    eye_tracker_latency_ms: float = 5.0
 
     def __post_init__(self):
         if not 1.0 <= self.fovea_radius_deg <= 90.0:
             raise ValueError("fovea radius out of range")
         if not 0.0 < self.periphery_cost_scale <= 1.0:
             raise ValueError("periphery scale must be in (0,1]")
-        if self.eye_tracker_latency_ms < 0:
-            raise ValueError("tracker latency must be >= 0")
 
 
 def foveated_cost_factor(display: DisplayModel,
@@ -55,19 +52,3 @@ def effective_triangle_budget(base_budget: int, display: DisplayModel,
         raise ValueError("budget must be >= 0")
     factor = foveated_cost_factor(display, config)
     return int(base_budget / factor)
-
-
-def saccade_artifact_probability(config: FoveationConfig,
-                                 saccades_per_s: float = 3.0) -> float:
-    """Probability per second that a saccade outruns the fovea update.
-
-    During a saccade the fovea lands where the periphery was rendered;
-    if the eye tracker + render latency exceeds the saccadic suppression
-    window (~50 ms), the user glimpses the low-res zone.
-    """
-    if saccades_per_s < 0:
-        raise ValueError("saccade rate must be >= 0")
-    suppression_window_ms = 50.0
-    exposure = max(0.0, config.eye_tracker_latency_ms + 11.0 - suppression_window_ms)
-    per_saccade = min(1.0, exposure / 30.0)
-    return min(1.0, saccades_per_s * per_saccade)

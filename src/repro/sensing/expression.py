@@ -59,8 +59,6 @@ def _build_prototypes() -> Dict[str, np.ndarray]:
 
 _PROTOTYPES = _build_prototypes()
 
-EXPRESSIONS = tuple(_PROTOTYPES)
-
 
 @dataclass(frozen=True)
 class ExpressionState:

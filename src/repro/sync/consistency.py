@@ -11,7 +11,7 @@ from repro.sensing.pose import Pose
 from repro.simkit.engine import Simulator
 
 
-class ConsistencyProbe:
+class ConsistencyProbe:  # replint: ignore[ARCH003] -- replica-vs-truth oracle in tests
     """Samples divergence between ground truth and replicated views.
 
     ``truths`` maps entity id → callable ``t -> Pose`` (what the entity is

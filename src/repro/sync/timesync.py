@@ -13,7 +13,7 @@ class TimeSyncError(RuntimeError):
     """A sync burst produced no usable exchange (every reply was lost)."""
 
 
-class NtpSynchronizer:
+class NtpSynchronizer:  # replint: ignore[ARCH003] -- test-only, queued for deletion
     """Periodically disciplines a device clock against a reference clock.
 
     One exchange mirrors NTP's four timestamps: the client stamps t0 on

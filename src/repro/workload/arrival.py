@@ -8,7 +8,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 
-class PoissonArrivals:
+class PoissonArrivals:  # replint: ignore[ARCH003] -- test-only, queued for deletion
     """Memoryless arrivals at ``rate_per_s``."""
 
     def __init__(self, rng: np.random.Generator, rate_per_s: float):

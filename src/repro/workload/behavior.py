@@ -106,12 +106,3 @@ class BehaviorModel:
         return self.fraction_in(BehaviorState.ATTENTIVE) + self.fraction_in(
             BehaviorState.INTERACTING
         )
-
-
-def stationary_distribution(matrix: np.ndarray) -> np.ndarray:
-    """Long-run state occupancy of a transition matrix."""
-    values, vectors = np.linalg.eig(matrix.T)
-    index = int(np.argmin(np.abs(values - 1.0)))
-    vector = np.real(vectors[:, index])
-    vector = np.abs(vector)
-    return vector / vector.sum()

@@ -122,7 +122,7 @@ class WalkingMotion(MotionTrace):
         return Pose(b, yaw_quat(0.0))
 
 
-class StationaryMotion(MotionTrace):
+class StationaryMotion(MotionTrace):  # replint: ignore[ARCH003] -- motionless-avatar test fixture
     """A fixed pose — podiums, projectors, test fixtures."""
 
     def __init__(self, pose: Optional[Pose] = None):

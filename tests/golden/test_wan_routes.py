@@ -3,15 +3,15 @@
 Each topology below is one the repository builds: the unit-case
 deployment (``build_unit_case``), the two that the C3e failover bench
 wires, and the triangle of ``tests/net/test_topology.py``.  For every
-ordered pair of distinct sites, ``Topology.shortest_path`` and
-``RoutingTable.route`` are reduced to ``[src, dst, hops]`` lists and
-hashed; ``wan_routes.json`` pins one digest per topology and method.
+ordered pair of distinct sites, ``Topology.shortest_path`` is reduced to
+``[src, dst, hops]`` lists and hashed; ``wan_routes.json`` pins one
+digest per topology.
 
 The unit case places its cloud in the same city as the ``cwb`` campus,
 so the ``cwb``--``cloud`` edge has zero delay and the ``cwb``↔``gz`` and
 ``cloud``↔``gz`` routes tie with a two-hop detour; the pinned choice is
-the direct edge.  On a mismatch the failure names the topology, the
-method and the new digest; a deliberate routing change updates that
+the direct edge.  On a mismatch the failure names the topology and the
+new digest; a deliberate routing change updates that
 entry in the JSON file.
 """
 
@@ -24,7 +24,6 @@ import pytest
 
 from repro import Simulator, build_unit_case
 from repro.net.geo import WORLD_CITIES
-from repro.net.routing import RoutingTable
 from repro.net.topology import Site, Topology
 from tests.net.test_topology import build_triangle
 
@@ -65,15 +64,10 @@ def _digest(rows) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def route_digests(name):
+def route_digest(name):
     topo = TOPOLOGIES[name](Simulator(seed=0))
-    table = RoutingTable.from_topology(topo)
     pairs = list(itertools.permutations(sorted(topo.sites), 2))
-    return {
-        f"{name}.shortest_path": _digest(
-            [[s, d, topo.shortest_path(s, d)] for s, d in pairs]),
-        f"{name}.route": _digest([[s, d, table.route(s, d)] for s, d in pairs]),
-    }
+    return _digest([[s, d, topo.shortest_path(s, d)] for s, d in pairs])
 
 
 def test_unit_case_has_a_zero_delay_tie():
@@ -84,7 +78,7 @@ def test_unit_case_has_a_zero_delay_tie():
 
 @pytest.mark.parametrize("name", sorted(TOPOLOGIES))
 def test_route_tables_match_golden_digests(name):
-    golden = json.loads(GOLDEN_PATH.read_text())
-    for key, got in route_digests(name).items():
-        assert got == golden[key], (
-            f"{key}: route digest is now {got} (golden {golden[key]})")
+    key = f"{name}.shortest_path"
+    golden = json.loads(GOLDEN_PATH.read_text())[key]
+    got = route_digest(name)
+    assert got == golden, f"{key}: route digest is now {got} (golden {golden})"

@@ -1,7 +1,7 @@
 """Engine-level tests: pragmas, reports, CLI contract, and the CI gate.
 
 The last two tests are the acceptance criteria in executable form: the
-real ``src`` + ``benchmarks`` trees lint clean, and a seeded known-bad
+trees CI lints (``src benchmarks perf examples``) lint clean, and a seeded known-bad
 snippet fails the engine exactly the way the CI job would fail a PR
 that introduces it.
 """
@@ -130,7 +130,7 @@ def test_cli_rule_selection_and_list(tmp_path, capsys):
     assert "DET002" in out and "DET001" not in out
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    assert "DET004" in out and "ARCH001" in out
+    assert "DET004" in out and "ARCH001" in out and "ARCH003" in out
 
 
 def test_cli_writes_output_file(tmp_path, capsys):
@@ -146,8 +146,10 @@ def test_cli_writes_output_file(tmp_path, capsys):
 
 
 def test_repo_lints_clean():
-    """`python -m repro.lint src benchmarks` exits 0 on this repo."""
-    report = LintEngine().run_paths(["src", "benchmarks"], root=REPO_ROOT)
+    """`python -m repro.lint src benchmarks perf examples` exits 0 on this
+    repo; ARCH003 needs every caller tree in the run to see its uses."""
+    report = LintEngine().run_paths(["src", "benchmarks", "perf", "examples"],
+                                    root=REPO_ROOT)
     assert report.parse_errors == []
     assert [v.render() for v in report.violations] == []
     assert report.ok
@@ -171,7 +173,7 @@ def test_ci_gate_fails_on_seeded_det001_det002_snippet():
     snippet through the real CLI (exit code 1, both rules reported)."""
     report = lint_sources({"src/repro/net/jitter_bad.py": KNOWN_BAD})
     codes = sorted({v.rule for v in report.violations})
-    assert codes == ["DET001", "DET002"]
+    assert codes == ["ARCH003", "DET001", "DET002"]
     assert not report.ok
 
     result = subprocess.run(

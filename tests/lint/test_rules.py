@@ -259,13 +259,72 @@ def test_arch002_pragma_suppresses():
     assert suppressed("ARCH002", src, path=BENCH) == ["ARCH002"]
 
 
+# -- ARCH003: public src/ code has a caller outside tests --------------------
+
+ARCH003_PKG = "src/repro/metrics/__init__.py"
+SIBLING = "src/repro/metrics/sibling.py"
+
+
+def arch003(files):
+    """ARCH003's unsuppressed and suppressed hits over several files."""
+    engine = LintEngine(rules=[registered_rules()["ARCH003"]()])
+    report = engine.run_sources(
+        [SourceFile(path, src) for path, src in files.items()])
+    return ([(v.path, v.line) for v in report.violations],
+            [(v.path, v.line) for v in report.suppressed])
+
+
+def test_arch003_flags_dead_function_and_self_reference():
+    src = ("def dead(n):\n    return dead(n - 1) if n else 0\n\n\n"
+           "class Node:\n    def copy(self):\n        return Node()\n")
+    assert arch003({NEUTRAL: src}) == ([(NEUTRAL, 1), (NEUTRAL, 5)], [])
+
+
+def test_arch003_flags_name_only_export_lists_mention():
+    files = {NEUTRAL: "__all__ = ['helper']\n\n\ndef helper():\n    return 1\n",
+             ARCH003_PKG: "from repro.metrics.example import helper\n"
+                          "__all__ = ['helper']\n"}
+    assert arch003(files) == ([(NEUTRAL, 4)], [])
+
+
+def test_arch003_name_used_from_sibling_module_passes():
+    files = {NEUTRAL: "def helper():\n    return 1\n\n\ndef _private():\n    pass\n",
+             SIBLING: ("from repro.metrics.example import helper\n\n"
+                       "VALUE = helper()\n"),
+             BENCH: "def main():\n    return 0\n"}
+    # Private names and anything outside src/ (BENCH's main) are never
+    # checked.
+    assert arch003(files) == ([], [])
+
+
+def test_arch003_string_reference_counts():
+    files = {NEUTRAL: "class Hooked:\n    def run(self):\n        pass\n",
+             SIBLING: "HOOKS = (('repro.metrics.example', 'Hooked', 'run'),)\n"}
+    assert arch003(files) == ([], [])
+
+
+def test_arch003_registered_class_passes():
+    src = ("from repro.lint.engine import Rule, register\n\n\n"
+           "@register\nclass ExampleRule(Rule):\n    code = 'X001'\n")
+    assert arch003({NEUTRAL: src}) == ([], [])
+    # Without the decorator nothing refers to the class.
+    src = src.replace("@register\n", "")
+    assert arch003({NEUTRAL: src}) == ([(NEUTRAL, 4)], [])
+
+
+def test_arch003_pragma_suppresses():
+    src = ("def oracle():  # replint: ignore[ARCH003] -- test oracle\n"
+           "    return 1\n")
+    assert arch003({NEUTRAL: src}) == ([], [(NEUTRAL, 1)])
+
+
 # -- the whole registry ------------------------------------------------------
 
 
 def test_every_registered_rule_has_code_and_summary():
     registry = registered_rules()
     assert {"DET001", "DET002", "DET003", "DET004",
-            "ARCH001", "ARCH002"} <= set(registry)
+            "ARCH001", "ARCH002", "ARCH003"} <= set(registry)
     for code, cls in registry.items():
         assert cls.code == code
         assert cls.summary
@@ -278,5 +337,5 @@ def test_lint_sources_runs_all_rules_together():
                     "    for x in set(ids):\n        yield x, t\n"),
     })
     codes = sorted(v.rule for v in report.violations)
-    assert codes == ["DET001", "DET004"]
+    assert codes == ["ARCH003", "DET001", "DET004"]
     assert not report.ok

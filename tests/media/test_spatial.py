@@ -6,7 +6,6 @@ import pytest
 from repro.media.spatial import (
     SpatialAudioScene,
     angular_separation,
-    classroom_intelligibility,
     received_level_db,
 )
 
@@ -83,12 +82,3 @@ def test_unknown_speaker():
     scene = scene_with_maskers(1)
     with pytest.raises(KeyError):
         scene.intelligibility("ghost", True)
-
-
-def test_classroom_wrapper():
-    value = classroom_intelligibility(
-        (0, 0, 0), "prof",
-        [("prof", (3, 0, 0)), ("s1", (0, 3, 0)), ("s2", (0, -3, 0))],
-        spatialized=True,
-    )
-    assert 0.0 <= value <= 1.0

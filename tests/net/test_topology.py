@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.net.geo import WORLD_CITIES, GeoPoint
 from repro.net.node import Node, connect
 from repro.net.packet import Packet
-from repro.net.routing import RoutingTable
 from repro.net.topology import Site, Topology
 from repro.simkit import Simulator
 
@@ -133,18 +132,6 @@ def test_path_channel_same_site_is_local():
     assert arrivals == [0.0]
 
 
-def test_routing_table_full_route():
-    sim = Simulator()
-    topo = build_triangle(sim)
-    table = RoutingTable.from_topology(topo)
-    assert table.route("cwb", "kaist") == ["cwb", "gz", "kaist"]
-    assert table.next_hop("cwb", "gz") == "gz"
-    with pytest.raises(ValueError):
-        table.next_hop("cwb", "cwb")
-    with pytest.raises(KeyError):
-        table.next_hop("cwb", "mars")
-
-
 @st.composite
 def tied_graphs(draw):
     """A small graph with integer delays (ties are common, including zero
@@ -193,17 +180,13 @@ def test_routes_agree_and_are_shortest_on_ties(graph):
     names, edges, reordered = graph
     topo = _build(names, edges)
     other = _build(list(reversed(names)), reordered)
-    table = RoutingTable.from_topology(topo)
     best = _brute_force_delays(names, edges)
     for src, dst in itertools.permutations(names, 2):
         if (src, dst) not in best:
             with pytest.raises(ValueError):
                 topo.shortest_path(src, dst)
-            with pytest.raises(KeyError):
-                table.route(src, dst)
             continue
         path = topo.shortest_path(src, dst)
-        assert path == table.route(src, dst)
         assert path == other.shortest_path(src, dst)
         assert path[0] == src and path[-1] == dst
         assert topo.path_propagation_delay(src, dst) == best[(src, dst)]

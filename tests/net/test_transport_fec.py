@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.net.fec import BlockCode, FecDecoder, FecEncoder
 from repro.net.geo import WORLD_CITIES
 from repro.net.topology import Site, Topology
-from repro.net.transport import DatagramChannel, ReliableChannel
+from repro.net.transport import ReliableChannel
 from repro.simkit import Simulator
 
 
@@ -17,17 +17,6 @@ def lossy_pair(sim, loss_rate=0.0):
     topo.add_site(Site("b", WORLD_CITIES["hkust_gz"]))
     topo.connect("a", "b", rate_bps=100e6, loss_rate=loss_rate)
     return topo.channel("a", "b"), topo.channel("b", "a")
-
-
-def test_datagram_channel_delivers_payload():
-    sim = Simulator()
-    forward, _ = lossy_pair(sim)
-    channel = DatagramChannel(sim, forward, "a", "b")
-    got = []
-    channel.send({"x": 1}, size_bytes=200, deliver=lambda p: got.append(p.payload))
-    sim.run()
-    assert got == [{"x": 1}]
-    assert channel.sent == 1
 
 
 def test_reliable_channel_in_order_no_loss():

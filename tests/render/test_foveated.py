@@ -7,7 +7,6 @@ from repro.render.foveated import (
     FoveationConfig,
     effective_triangle_budget,
     foveated_cost_factor,
-    saccade_artifact_probability,
 )
 
 
@@ -37,20 +36,8 @@ def test_effective_budget_scales_inverse_to_cost():
         effective_triangle_budget(-1, display)
 
 
-def test_saccade_artifacts_grow_with_tracker_latency():
-    fast = saccade_artifact_probability(FoveationConfig(eye_tracker_latency_ms=5.0))
-    slow = saccade_artifact_probability(FoveationConfig(eye_tracker_latency_ms=80.0))
-    assert fast <= slow
-    assert fast == 0.0  # within saccadic suppression
-    assert 0.0 < slow <= 1.0
-    with pytest.raises(ValueError):
-        saccade_artifact_probability(FoveationConfig(), saccades_per_s=-1.0)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         FoveationConfig(fovea_radius_deg=0.5)
     with pytest.raises(ValueError):
         FoveationConfig(periphery_cost_scale=0.0)
-    with pytest.raises(ValueError):
-        FoveationConfig(eye_tracker_latency_ms=-1.0)

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.sensing.expression import (
-    EXPRESSIONS,
     ExpressionCapture,
     N_CHANNELS,
     classify,
@@ -17,7 +16,8 @@ from repro.sensing.quantize import PoseQuantizer, QuantizationConfig
 
 
 def test_prototypes_classify_to_themselves():
-    for label in EXPRESSIONS:
+    for label in ("neutral", "smile", "frown", "surprise", "talking",
+                  "confused"):
         assert classify(prototype(label)) == label
 
 

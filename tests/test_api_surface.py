@@ -7,6 +7,7 @@ import pytest
 
 PACKAGES = [
     "repro",
+    "repro.adapt",
     "repro.avatar",
     "repro.baselines",
     "repro.cloud",
@@ -14,6 +15,7 @@ PACKAGES = [
     "repro.core",
     "repro.edge",
     "repro.hci",
+    "repro.lint",
     "repro.media",
     "repro.metrics",
     "repro.net",

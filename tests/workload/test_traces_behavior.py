@@ -7,7 +7,6 @@ from repro.simkit import Simulator
 from repro.workload.behavior import (
     BehaviorModel,
     BehaviorState,
-    stationary_distribution,
     transition_matrix,
 )
 from repro.workload.traces import SeatedMotion, StationaryMotion, WalkingMotion
@@ -99,13 +98,6 @@ def test_higher_engagement_more_attention():
         model.run(duration=3600 * 10)
         results[engagement] = model.attention_fraction
     assert results[0.9] > results[0.2] + 0.1
-
-
-def test_stationary_distribution_matches_long_run():
-    matrix = transition_matrix(0.7, 0.5)
-    pi = stationary_distribution(matrix)
-    assert pi.sum() == pytest.approx(1.0)
-    assert np.allclose(pi @ matrix, pi, atol=1e-9)
 
 
 def test_behavior_model_counts_interactions():
