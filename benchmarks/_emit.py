@@ -22,6 +22,7 @@ runs; untraced runs omit it.  The module doubles as a validator CLI::
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import time
@@ -138,8 +139,10 @@ def wall_tracer(limit: int = 100_000):
 
 
 def wall_phase(tracer, name: str, parent=None):
-    """Context manager spanning one wall-clock benchmark phase."""
-    import contextlib
+    """Context manager spanning one wall-clock benchmark phase; a no-op
+    without a ``tracer``."""
+    if tracer is None:
+        return contextlib.nullcontext()
 
     @contextlib.contextmanager
     def _phase():
@@ -150,6 +153,22 @@ def wall_phase(tracer, name: str, parent=None):
             span.finish()
 
     return _phase()
+
+
+def incidents_identical(incidents, dir_a, dir_b) -> bool:
+    """True when every named incident dump (and its ``_trace`` companion)
+    exists in both directories with the same bytes, and there is at
+    least one incident."""
+    identical = bool(incidents)
+    for incident in incidents:
+        for suffix in ("", "_trace"):
+            a = Path(dir_a) / f"INCIDENT_{incident}{suffix}.json"
+            b = Path(dir_b) / f"INCIDENT_{incident}{suffix}.json"
+            if a.exists() != b.exists():
+                identical = False
+            elif a.exists() and a.read_bytes() != b.read_bytes():
+                identical = False
+    return identical
 
 
 def export_trace(spans, bench: str,

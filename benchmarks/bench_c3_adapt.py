@@ -183,19 +183,13 @@ def run_arm(seed: int, duration: float, adapt: bool) -> dict:
 
 def run_c3h(duration: float = DURATION, seed: int = SEED,
             tracer=None) -> dict:
-    import contextlib
+    from benchmarks._emit import wall_phase
 
-    def phase(name):
-        if tracer is None:
-            return contextlib.nullcontext()
-        from benchmarks._emit import wall_phase
-        return wall_phase(tracer, name)
-
-    with phase("baseline"):
+    with wall_phase(tracer, "baseline"):
         baseline = run_arm(seed, duration, adapt=False)
-    with phase("adapted"):
+    with wall_phase(tracer, "adapted"):
         adapted = run_arm(seed, duration, adapt=True)
-    with phase("replay"):
+    with wall_phase(tracer, "replay"):
         replay = run_arm(seed, duration, adapt=True)
     return {
         "baseline": baseline,

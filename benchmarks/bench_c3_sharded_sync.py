@@ -104,20 +104,18 @@ def _trace_transmit(sim, client):
 def _staleness_probe(sim, clients, duration, samples):
     """Collect per-user staleness of every known remote entity."""
     warmup = sim.now + duration * WARMUP_FRACTION
-    end = sim.now + duration
 
-    def body():
-        while sim.now < end - 1e-12:
-            if sim.now >= warmup - 1e-12:
-                for user_id, federated in clients.items():
-                    bucket = samples.setdefault(user_id, [])
-                    for entity_id in federated.client.known_entities:
-                        age = federated.client.staleness(entity_id)
-                        if np.isfinite(age):
-                            bucket.append(age)
-            yield sim.timeout(SAMPLE_PERIOD)
+    def sample():
+        if sim.now >= warmup - 1e-12:
+            for user_id, federated in clients.items():
+                bucket = samples.setdefault(user_id, [])
+                for entity_id in federated.client.known_entities:
+                    age = federated.client.staleness(entity_id)
+                    if np.isfinite(age):
+                        bucket.append(age)
+        return SAMPLE_PERIOD
 
-    sim.process(body())
+    sim.every(duration, sample)
 
 
 def _far_users(population):
@@ -223,21 +221,15 @@ def run_handoff(seed: int, population_size: int, k: int, duration: float):
 
 def run_c3f(duration: float = DURATION, population_size: int = POPULATION,
             seed: int = SEED, tracer=None) -> dict:
-    import contextlib
-
-    def phase(name):
-        if tracer is None:
-            return contextlib.nullcontext()
-        from benchmarks._emit import wall_phase
-        return wall_phase(tracer, name)
+    from benchmarks._emit import wall_phase
 
     sweeps = {}
     for k in KS:
-        with phase(f"k={k}"):
+        with wall_phase(tracer, f"k={k}"):
             sweeps[k], _sim = run_sharded(seed, population_size, k, duration)
-    with phase("handoff"):
+    with wall_phase(tracer, "handoff"):
         handoff = run_handoff(seed, population_size, max(KS), duration)
-    with phase("replay"):
+    with wall_phase(tracer, "replay"):
         replay_sweep, _sim = run_sharded(seed, population_size, max(KS),
                                          duration)
         replay_handoff = run_handoff(seed, population_size, max(KS), duration)

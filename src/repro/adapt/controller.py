@@ -103,35 +103,22 @@ class AdaptDecision:
 class ClientKnobs:
     """The actuation surface for one client; every hook is optional.
 
-    ``set_decimation`` / ``set_lod_cap`` normally point at
+    Both hooks normally point at
     :class:`~repro.sync.federation.ShardedSyncService` (see
-    :func:`federation_knobs`); ``set_abr_cap`` at
-    :meth:`~repro.media.abr.AbrController.set_cap`; ``set_fec`` at the
-    client's video FEC encoder; ``set_foveation`` / ``set_mitigations``
-    at the client's render/comfort pipeline.
+    :func:`federation_knobs`).  The rung's foveation, FEC, bitrate-cap
+    and mitigation fields drive no hook; they are reported on each
+    decision's ``detail`` line.
     """
 
     set_lod_cap: Optional[Callable[[str], None]] = None
-    set_foveation: Optional[Callable[[object], None]] = None
     set_decimation: Optional[Callable[[int], None]] = None
-    set_fec: Optional[Callable[[int], None]] = None
-    set_abr_cap: Optional[Callable[[float], None]] = None
-    set_mitigations: Optional[Callable[[list], None]] = None
 
 
-def federation_knobs(service: Any, user_id: str, abr: Any = None,
-                     set_foveation: Optional[Callable] = None,
-                     set_fec: Optional[Callable] = None,
-                     set_mitigations: Optional[Callable] = None) -> ClientKnobs:
-    """Wire a :class:`ClientKnobs` to a sharded sync service (and
-    optionally an ABR controller plus client-side render/FEC hooks)."""
+def federation_knobs(service: Any, user_id: str) -> ClientKnobs:
+    """Wire a :class:`ClientKnobs` to a sharded sync service."""
     return ClientKnobs(
         set_lod_cap=lambda level: service.set_lod_hint(user_id, level),
-        set_foveation=set_foveation,
         set_decimation=lambda f: service.set_snapshot_decimation(user_id, f),
-        set_fec=set_fec,
-        set_abr_cap=None if abr is None else abr.set_cap,
-        set_mitigations=set_mitigations,
     )
 
 
@@ -323,23 +310,14 @@ class AdaptationController:
         knobs = control.knobs
         if knobs.set_lod_cap is not None:
             knobs.set_lod_cap(rung.lod_cap)
-        if knobs.set_foveation is not None:
-            knobs.set_foveation(rung.foveation)
         if knobs.set_decimation is not None:
             knobs.set_decimation(rung.snapshot_decimation)
-        if knobs.set_fec is not None:
-            knobs.set_fec(rung.fec_repair)
-        if knobs.set_abr_cap is not None:
-            knobs.set_abr_cap(rung.abr_cap_bps)
-        mitigations = rung_mitigations(rung)
         # Costs are computed against the *pre-mitigation* exposure in one
         # atomic pass (apply_with_cost) — see sickness.mitigation on why
         # the order is load-bearing.
         control.exposure, costs = apply_all_with_costs(
-            mitigations, self.scoreboard.exposure)
+            rung_mitigations(rung), self.scoreboard.exposure)
         control.mitigation_costs = tuple(costs)
-        if knobs.set_mitigations is not None:
-            knobs.set_mitigations(mitigations)
         parts = [
             f"lod={rung.lod_cap}",
             f"fovea={rung.fovea_radius_deg:.1f}",

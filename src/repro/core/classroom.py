@@ -144,26 +144,25 @@ class PhysicalClassroom:
         labels = ("neutral", "talking", "smile", "neutral", "confused")
         rng = self.sim.rng.stream(f"exprpick:{self.name}:{participant_id}")
 
-        def body():
-            end = self.sim.now + duration
-            period = 1.0 / self.expression_rate_hz
-            while self.sim.now < end - 1e-12:
-                label = labels[int(rng.integers(0, len(labels)))]
-                state = capture.capture(self.sim.now, label)
-                packet = Packet(
-                    src=participant_id, dst=self.edge.name,
-                    size_bytes=state.size_bytes + 32, kind="expression",
-                    payload=state, created_at=self.sim.now,
-                )
-                self.wifi.send(
-                    packet,
-                    lambda p, pid=participant_id: self.edge.aggregator.ingest_expression(
-                        pid, p.payload
-                    ),
-                )
-                yield self.sim.timeout(period)
+        period = 1.0 / self.expression_rate_hz
 
-        return self.sim.process(body())
+        def step():
+            label = labels[int(rng.integers(0, len(labels)))]
+            state = capture.capture(self.sim.now, label)
+            packet = Packet(
+                src=participant_id, dst=self.edge.name,
+                size_bytes=state.size_bytes + 32, kind="expression",
+                payload=state, created_at=self.sim.now,
+            )
+            self.wifi.send(
+                packet,
+                lambda p, pid=participant_id: self.edge.aggregator.ingest_expression(
+                    pid, p.payload
+                ),
+            )
+            return period
+
+        return self.sim.every(duration, step)
 
     def _wired_ingest(self, sample: PoseSample) -> None:
         """Sensor-rig fix -> wired link -> edge aggregator."""

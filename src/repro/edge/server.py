@@ -125,16 +125,15 @@ class EdgeServer:
         if self._running:
             raise RuntimeError("edge server already running")
         self._running = True
+        period = 1.0 / self.config.avatar_rate_hz
 
-        def body():
-            period = 1.0 / self.config.avatar_rate_hz
-            end = self.sim.now + duration
-            while self.sim.now < end - 1e-12:
-                cost = self._avatar_tick()
-                yield self.sim.timeout(max(period, cost))
+        def close(_process):
             self._running = False
 
-        return self.sim.process(body())
+        process = self.sim.every(
+            duration, lambda: max(period, self._avatar_tick()))
+        process.callbacks.append(close)
+        return process
 
     # -- inbound: placement and retargeting ----------------------------------
 

@@ -75,8 +75,8 @@ class AbrController:  # replint: ignore[ARCH003] -- test-only, queued for deleti
     def set_cap(self, cap_bps: Optional[float]) -> float:
         """Clamp the bitrate ceiling from outside (and apply immediately).
 
-        The adaptation ladder lowers this as it degrades so video yields
-        bandwidth to the sync stream; ``None`` removes the cap.  The cap
+        Lowering it makes video yield bandwidth to the sync stream;
+        ``None`` removes the cap.  The cap
         never pushes below ``min_bitrate_bps``.  Returns the bitrate.
         """
         if cap_bps is not None:

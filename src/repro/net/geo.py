@@ -81,11 +81,3 @@ CITY_REGIONS = {
     "sao_paulo": "south_america",
     "nairobi": "africa",
 }
-
-
-def region_of(city: str) -> str:  # replint: ignore[ARCH003] -- test-only, queued for deletion
-    """Region label for a known city name."""
-    try:
-        return CITY_REGIONS[city]
-    except KeyError:
-        raise KeyError(f"unknown city: {city!r}") from None

@@ -30,7 +30,6 @@ plane's entry points in spans of a ``SpanTracer`` built on a wall clock.
 
 from repro.obs.export import (
     chrome_trace,
-    metrics_json,
     prometheus_text,
     report_json,
     write_json,
@@ -100,7 +99,6 @@ __all__ = [
     "SpanTracer",
     "TraceSummary",
     "chrome_trace",
-    "metrics_json",
     "prometheus_text",
     "report_json",
     "stage_durations",

@@ -2,8 +2,8 @@
 
 Three read-only views over the same run:
 
-* :func:`metrics_json` / :func:`report_json` — machine-readable snapshots
-  for the benchmark result files (``BENCH_<id>.json``);
+* :func:`report_json` — machine-readable snapshots for the benchmark
+  result files (``BENCH_<id>.json``);
 * :func:`prometheus_text` — the Prometheus text exposition format
   (``# TYPE`` headers, cumulative ``_bucket{le=...}`` histograms), so a
   scrape of a long-running deployment drops straight into Grafana;
@@ -119,16 +119,6 @@ def prometheus_text(registry: MetricsRegistry,
             else:
                 lines.append(f"{metric}{labels} {_prom_value(child.value)}")
     return "\n".join(lines) + "\n"
-
-
-def metrics_json(  # replint: ignore[ARCH003] -- test-only, queued for deletion
-        registry: MetricsRegistry) -> Dict[str, float]:
-    """The registry's flat snapshot, guaranteed JSON-serializable."""
-    return {
-        key: (None if isinstance(value, float) and not math.isfinite(value)
-              else value)
-        for key, value in registry.snapshot().items()
-    }
 
 
 def _json_safe(value: Any) -> Any:

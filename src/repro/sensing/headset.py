@@ -127,12 +127,10 @@ class HeadsetTracker:
     def run(self, duration: float):
         """A simkit process emitting samples at the configured rate."""
 
-        def body():
-            end = self.sim.now + duration
-            while self.sim.now < end - 1e-12:
-                sample = self.measure()
-                if sample is not None and self.on_sample is not None:
-                    self.on_sample(sample)
-                yield self.sim.timeout(self.period)
+        def step():
+            sample = self.measure()
+            if sample is not None and self.on_sample is not None:
+                self.on_sample(sample)
+            return self.period
 
-        return self.sim.process(body())
+        return self.sim.every(duration, step)

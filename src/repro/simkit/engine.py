@@ -6,7 +6,7 @@ import heapq
 import itertools
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from repro.simkit.errors import SimkitError
+from repro.simkit.errors import Interrupt, SimkitError
 from repro.simkit.event import AllOf, AnyOf, Event, Timeout
 from repro.simkit.process import Process
 from repro.simkit.rng import RngRegistry
@@ -82,6 +82,44 @@ class Simulator:
     def process(self, generator: Generator) -> Process:
         """Run ``generator`` as a cooperative process."""
         return Process(self, generator)
+
+    def every(
+        self, duration: float, step: Callable[[], Optional[float]]
+    ) -> Process:
+        """Call ``step()`` now and again after each delay it returns,
+        for ``duration`` seconds.
+
+        This is the one periodic-process loop: sensors, tick loops,
+        relays, failure detectors and pollers all run through it.
+        ``step()`` returning ``None`` ends the process early, and so does
+        :meth:`~repro.simkit.process.Process.interrupt`; either way the
+        process finishes successfully, so an owner can release its
+        running state from a callback on the returned process.
+
+        The horizon rule: the last sleep is cut to land exactly on
+        ``now + duration``.  The clock accumulates float error (40 sleeps
+        of 0.05 s sum to 2.000000000000001), so an uncut final sleep would
+        park the last wake an ulp past the horizon and leave the process
+        (and whatever running flag its owner holds) alive after
+        ``run(until=horizon)`` returns.  The ``1e-12`` guard likewise
+        keeps a wake that drifted an ulp short of the horizon from
+        taking one more step.
+        """
+        end = self._now + duration
+
+        def body() -> Generator[Event, Any, None]:
+            try:
+                while self._now < end - 1e-12:
+                    delay = step()
+                    if delay is None:
+                        return
+                    if self._now + delay > end:
+                        delay = max(0.0, end - self._now)
+                    yield self.timeout(delay)
+            except Interrupt:
+                pass
+
+        return self.process(body())
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)

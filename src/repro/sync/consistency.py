@@ -59,12 +59,13 @@ class ConsistencyProbe:  # replint: ignore[ARCH003] -- replica-vs-truth oracle i
     def run(self, duration: float, warmup: float = 1.0):
         """Periodic probing process; skips ``warmup`` seconds of joins."""
 
+        def step():
+            self.probe_once()
+            return self.interval
+
         def body():
             yield self.sim.timeout(warmup)
-            end = self.sim.now + duration
-            while self.sim.now < end - 1e-12:
-                self.probe_once()
-                yield self.sim.timeout(self.interval)
+            yield self.sim.every(duration, step)
 
         return self.sim.process(body())
 

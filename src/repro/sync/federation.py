@@ -810,18 +810,13 @@ class ShardedSyncService:
         self.metrics.incr("shard_states_applied", len(delta.states))
 
     def _relay_process(self, relay: ShardRelay, duration: float):
-        def body():
-            end = self.sim.now + duration
-            while self.sim.now < end - 1e-12:
-                if relay.stopped:
-                    break  # endpoint decommissioned mid-run
-                relay.fire()
-                delay = self.relay_period
-                if self.sim.now + delay > end:
-                    delay = max(0.0, end - self.sim.now)
-                yield self.sim.timeout(delay)
+        def step():
+            if relay.stopped:
+                return None  # endpoint decommissioned mid-run
+            relay.fire()
+            return self.relay_period
 
-        return self.sim.process(body())
+        return self.sim.every(duration, step)
 
     def start(self, duration: float) -> list:
         """Arm every shard's tick loop and every relay for ``duration``."""
@@ -944,19 +939,14 @@ class ShardHandoffController:
             for _user, controller in sorted(self.controllers.items())
         ]
 
-        def watcher():
-            end = self.sim.now + duration
-            while self.sim.now < end - 1e-12:
-                for site, shard in self.service.shards.items():
-                    if shard.crashed and site not in self.dead_sites:
-                        self.dead_sites.append(site)
-                        self._rehome_dead_site(site)
-                delay = self.check_period
-                if self.sim.now + delay > end:
-                    delay = max(0.0, end - self.sim.now)
-                yield self.sim.timeout(delay)
+        def watch():
+            for site, shard in self.service.shards.items():
+                if shard.crashed and site not in self.dead_sites:
+                    self.dead_sites.append(site)
+                    self._rehome_dead_site(site)
+            return self.check_period
 
-        processes.append(self.sim.process(watcher()))
+        processes.append(self.sim.every(duration, watch))
         return processes
 
     def blackouts(self) -> Dict[str, Optional[float]]:

@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.metrics.collector import MetricsRegistry
 from repro.simkit.engine import Simulator
-from repro.simkit.errors import Interrupt
 from repro.sync.delta import BatchDeltaEncoder, WorldState
 from repro.sync.interest import InterestConfig, InterestManager
 from repro.sync.protocol import HEADER_BYTES, ClientUpdate, ServerSnapshot
@@ -468,32 +467,21 @@ class SyncServer:
         self._window_start_sub_seconds = self._sub_seconds
         self._window_end_sub_seconds = None
 
-        def body():
-            try:
-                end = self.sim.now + duration
-                while self.sim.now < end - 1e-12:
-                    if self.crashed:
-                        break  # fail-stop: the tick process dies with the server
-                    cost = self._do_tick()
-                    # An overloaded server stretches its tick interval.  The
-                    # last sleep is clamped to the horizon: accumulated float
-                    # error would otherwise park the final wake an ulp past
-                    # ``end``, leaving the process (and the running flag)
-                    # alive after ``sim.run(until=end)`` returns.
-                    delay = max(self.tick_period, cost)
-                    if self.sim.now + delay > end:
-                        delay = max(0.0, end - self.sim.now)
-                    yield self.sim.timeout(delay)
-            except Interrupt:
-                pass  # crash() tore the process down mid-sleep
-            finally:
-                if self._run_token is token:
-                    self._running = False
-                    self._window_end_time = self.sim.now
-                    self._accrue_subscriber_seconds()
-                    self._window_end_sub_seconds = self._sub_seconds
+        def tick():
+            if self.crashed:
+                return None  # fail-stop: the tick process dies with the server
+            # An overloaded server stretches its tick interval.
+            return max(self.tick_period, self._do_tick())
 
-        self._tick_process = self.sim.process(body())
+        def close(_process):
+            if self._run_token is token:
+                self._running = False
+                self._window_end_time = self.sim.now
+                self._accrue_subscriber_seconds()
+                self._window_end_sub_seconds = self._sub_seconds
+
+        self._tick_process = self.sim.every(duration, tick)
+        self._tick_process.callbacks.append(close)
         return self._tick_process
 
     # -- measurement ----------------------------------------------------------

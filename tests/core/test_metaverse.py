@@ -130,3 +130,13 @@ def test_remote_instructor_goes_on_stage():
     # The guest speaker stands on the VR stage (near the origin).
     offsets = deployment.cloud._seat_offsets
     assert np.linalg.norm(offsets["guest"]) < 1.5
+
+
+def test_unit_case_runs_back_to_back():
+    # A first run of 2.0 s used to leave the edge avatar tick parked an
+    # ulp past the horizon, so the second run raised "already running".
+    sim = Simulator(seed=42)
+    deployment = build_unit_case(sim, students_per_campus=2, remote_per_city=1)
+    deployment.run(duration=2.0)
+    deployment.run(duration=1.0)
+    assert sim.now == pytest.approx(3.0)

@@ -168,3 +168,16 @@ def test_edge_double_run_rejected():
     edge.run(duration=1.0)
     with pytest.raises(RuntimeError):
         edge.run(duration=1.0)
+
+
+def test_edge_rerun_after_horizon():
+    # duration=2.0 is the float-accumulation edge (see
+    # test_measurement_windows_reset_between_runs): an uncut last sleep
+    # parked the avatar tick past the horizon, so the second run() raised.
+    sim = Simulator(seed=5)
+    edge = make_edge(sim, "again")
+    proc = edge.run(duration=2.0)
+    sim.run(until=2.0)
+    assert not proc.is_alive
+    edge.run(duration=1.0)
+    sim.run(until=3.0)

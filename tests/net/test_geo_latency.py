@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.net.geo import WORLD_CITIES, GeoPoint, haversine_km, region_of
+from repro.net.geo import WORLD_CITIES, GeoPoint, haversine_km
 from repro.net.latency import FIBER_KM_PER_S, WanLatencyModel, fiber_delay
 
 
@@ -24,13 +24,6 @@ def test_geopoint_validation():
         GeoPoint(91.0, 0.0)
     with pytest.raises(ValueError):
         GeoPoint(0.0, 181.0)
-
-
-def test_region_of():
-    assert region_of("hkust_cwb") == "east_asia"
-    assert region_of("london") == "europe"
-    with pytest.raises(KeyError):
-        region_of("atlantis")
 
 
 def test_fiber_delay_scales_with_distance():

@@ -1,14 +1,12 @@
 """Exporter formats: Prometheus text, Chrome trace_event, JSON."""
 
 import json
-import math
 
 import pytest
 
 from repro.metrics.collector import MetricsRegistry
 from repro.obs.export import (
     chrome_trace,
-    metrics_json,
     prometheus_text,
     report_json,
     write_json,
@@ -82,16 +80,6 @@ def test_chrome_trace_rows_per_trace_and_skips_open_spans():
     assert thread_meta[0]["args"]["name"] == f"trace {root.trace_id}"
     json.dumps(document)  # round-trips
     del open_span
-
-
-def test_metrics_json_nulls_nonfinite():
-    registry = MetricsRegistry()
-    registry.set_gauge("ok", 1.0)
-    registry.set_gauge("bad", math.inf)
-    payload = metrics_json(registry)
-    assert payload["gauge:ok"] == 1.0
-    assert payload["gauge:bad"] is None
-    json.dumps(payload)
 
 
 def test_report_json_and_write_json(tmp_path):

@@ -113,3 +113,69 @@ def test_rng_streams_reproducible():
     c = Simulator(seed=124).rng.stream("x").random(5)
     assert list(a) == list(b)
     assert list(a) != list(c)
+
+
+def test_every_last_wake_lands_on_the_horizon():
+    sim = Simulator()
+    wakes = []
+
+    def step():
+        wakes.append(sim.now)
+        return 0.3
+
+    proc = sim.every(1.0, step)
+    sim.run(until=1.0)
+    # Steps at 0, 0.3, 0.6, 0.9; the last sleep is cut to wake at 1.0.
+    assert len(wakes) == 4
+    assert not proc.is_alive
+    assert sim.now == 1.0
+
+
+def test_every_none_stops_the_process():
+    sim = Simulator()
+    calls = []
+
+    def step():
+        calls.append(sim.now)
+        return None if len(calls) == 3 else 0.5
+
+    proc = sim.every(10.0, step)
+    sim.run()
+    assert calls == [0.0, 0.5, 1.0]
+    assert proc.ok
+    assert sim.now == 1.0
+
+
+def test_every_interrupt_ends_it_cleanly():
+    sim = Simulator()
+    calls = []
+
+    def step():
+        calls.append(sim.now)
+        return 1.0
+
+    proc = sim.every(10.0, step)
+    ended = []
+    proc.callbacks.append(lambda _proc: ended.append(sim.now))
+    sim.call_later(2.5, proc.interrupt)
+    sim.run()
+    assert calls == [0.0, 1.0, 2.0]
+    assert proc.ok
+    assert ended == [2.5]
+
+
+def test_every_counts_steps_through_float_drift():
+    # 40 sleeps of 0.05 s sum to 2.000000000000001: the drift guard and
+    # the cut last sleep still give exactly 40 calls, all inside 2.0 s.
+    sim = Simulator()
+    calls = []
+
+    def step():
+        calls.append(sim.now)
+        return 0.05
+
+    proc = sim.every(2.0, step)
+    sim.run(until=2.0)
+    assert len(calls) == 40
+    assert calls[-1] < 2.0
+    assert not proc.is_alive
