@@ -89,11 +89,8 @@ def main(argv=None):
     results = {}
     for name, modality in INPUT_MODALITIES.items():
         session = TypingSession(modality, np.random.default_rng(5), obs=tracer)
-        if tracer is not None:
-            with wall_phase(tracer, name) as phase:
-                session.enter_words(words, trace_parent=phase)
-        else:
-            session.enter_words(words)
+        with wall_phase(tracer, name) as phase:
+            session.enter_words(words, trace_parent=phase)
         results[name] = (session.achieved_wpm, session.retries)
     stages = phase_breakdown_ms(tracer) if tracer is not None else None
     path = write_bench_json(

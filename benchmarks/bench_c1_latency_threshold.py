@@ -67,11 +67,7 @@ def main(argv=None):
     model = InteractionQoeModel()
     series = {}
     for rtt in RTTS_MS:
-        if tracer is not None:
-            with wall_phase(tracer, f"rtt_{rtt}ms"):
-                series[rtt] = (model.performance(rtt), model.degradation(rtt),
-                               model.is_noticeable(rtt))
-        else:
+        with wall_phase(tracer, f"rtt_{rtt}ms"):
             series[rtt] = (model.performance(rtt), model.degradation(rtt),
                            model.is_noticeable(rtt))
     stages = phase_breakdown_ms(tracer) if tracer is not None else None

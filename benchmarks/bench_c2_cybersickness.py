@@ -119,11 +119,8 @@ def main(argv=None):
                         help="record wall-clock spans per factor sweep")
     args = parser.parse_args(argv)
     tracer = wall_tracer() if args.trace else None
-    if tracer is None:
+    with wall_phase(tracer, "factor_sweeps"):
         sweeps = run_c2()
-    else:
-        with wall_phase(tracer, "factor_sweeps"):
-            sweeps = run_c2()
     latency_curve = dict(sweeps["latency_ms"])
     stages = phase_breakdown_ms(tracer) if tracer is not None else None
     path = write_bench_json(

@@ -139,10 +139,9 @@ def run_arm(seed: int, duration: float, adapt: bool) -> dict:
         scoreboard.poll(sim.now, dt_s=POLL_S)
         if controller is not None:
             controller.poll(sim.now)
-        if sim.now + POLL_S < duration:
-            sim.call_later(POLL_S, control_tick)
+        return POLL_S
 
-    sim.call_later(POLL_S, control_tick)
+    sim.call_later(POLL_S, lambda: sim.every(duration - POLL_S, control_tick))
     service.start(duration)
     sim.run()
 

@@ -101,11 +101,7 @@ def main(argv=None):
         row = {}
         for mode in ("local", "cloud", "collaborative"):
             renderer = CollaborativeRenderer(trace, config, predictor_gain=0.5)
-            if tracer is not None:
-                with wall_phase(tracer, f"{mode}_rtt_{rtt * 1e3:.0f}ms"):
-                    row[mode] = renderer.mean_quality(
-                        0.0, 20.0, fps=36.0, mode=mode)
-            else:
+            with wall_phase(tracer, f"{mode}_rtt_{rtt * 1e3:.0f}ms"):
                 row[mode] = renderer.mean_quality(0.0, 20.0, fps=36.0, mode=mode)
         table[rtt] = row
     worst = max(RTTS)

@@ -133,10 +133,7 @@ def main(argv=None):
                     reports.append(session.run(duration=duration))
                 return _mean_report(reports)
 
-            if tracer is not None:
-                with wall_phase(tracer, f"{strategy}_loss_{loss:.0%}"):
-                    table[(loss, strategy)] = run_cell()
-            else:
+            with wall_phase(tracer, f"{strategy}_loss_{loss:.0%}"):
                 table[(loss, strategy)] = run_cell()
     heavy = 0.05
     stages = phase_breakdown_ms(tracer) if tracer is not None else None

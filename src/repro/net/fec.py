@@ -16,7 +16,7 @@ from typing import Any, Callable, Dict, List, Optional, Set
 
 
 @dataclass(frozen=True)
-class BlockCode:
+class BlockCode:  # replint: ignore[ARCH003] -- test-only, queued for deletion
     """Parameters of a systematic erasure code: k data + r repair packets."""
 
     k: int

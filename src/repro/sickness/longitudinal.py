@@ -26,7 +26,7 @@ from repro.sickness.susceptibility import (
 
 
 @dataclass
-class SemesterOutcome:
+class SemesterOutcome:  # replint: ignore[ARCH003] -- test-only, queued for deletion
     """Per-session cohort statistics."""
 
     mean_ssq_by_session: List[float] = field(default_factory=list)

@@ -9,12 +9,8 @@
   conditions :class:`~repro.simkit.event.AnyOf` / :class:`~repro.simkit.event.AllOf`.
 * :class:`~repro.simkit.process.Process` — generator-based cooperative
   processes in the style of SimPy.
-* :class:`~repro.simkit.resource.Resource` and
-  :class:`~repro.simkit.resource.Store` — contention primitives.
 * :class:`~repro.simkit.rng.RngRegistry` — named, independently seeded
   random streams so a run is reproducible from ``(config, seed)``.
-* :class:`~repro.simkit.clock.VirtualClock` — per-device clocks with offset
-  and drift relative to simulation time.
 
 Example
 -------
@@ -30,7 +26,6 @@ Example
 [1.5]
 """
 
-from repro.simkit.clock import VirtualClock
 from repro.simkit.engine import Simulator
 from repro.simkit.errors import (
     Interrupt,
@@ -39,7 +34,6 @@ from repro.simkit.errors import (
 )
 from repro.simkit.event import AllOf, AnyOf, Event, Timeout
 from repro.simkit.process import Process
-from repro.simkit.resource import Resource, Store
 from repro.simkit.rng import RngRegistry
 
 __all__ = [
@@ -48,12 +42,9 @@ __all__ = [
     "Event",
     "Interrupt",
     "Process",
-    "Resource",
     "RngRegistry",
     "SimkitError",
     "Simulator",
     "StopProcess",
-    "Store",
     "Timeout",
-    "VirtualClock",
 ]

@@ -149,6 +149,12 @@ class Simulator:
     def _enqueue_triggered(self, event: Event) -> None:
         self._enqueue_at(self._now, event, Simulator.PRIORITY_URGENT)
 
+    def _unschedule(self, event: Event) -> None:
+        """Drop ``event``'s pending heap entry.  Linear, but only an
+        interrupt calls it; the remaining entries keep their order."""
+        self._queue = [entry for entry in self._queue if entry[3] is not event]
+        heapq.heapify(self._queue)
+
     # -- running -----------------------------------------------------------
 
     def peek(self) -> float:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.simkit.errors import Interrupt, SimkitError, StopProcess
-from repro.simkit.event import Event
+from repro.simkit.event import Event, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simkit.engine import Simulator
@@ -40,8 +40,10 @@ class Process(Event):
         """Throw :class:`~repro.simkit.errors.Interrupt` into the process.
 
         The process stops waiting on its current event and must handle the
-        interrupt (or die with it).  Interrupting a finished process is an
-        error; interrupting itself is too.
+        interrupt (or die with it).  A timeout it was the last waiter on
+        is unscheduled, so the abandoned wake neither moves the clock nor
+        counts as a processed event.  Interrupting a finished process is
+        an error; interrupting itself is too.
         """
         if not self.is_alive:
             raise SimkitError("cannot interrupt a finished process")
@@ -53,6 +55,8 @@ class Process(Event):
                 waiting_on.callbacks.remove(self._resume)
             except (ValueError, AttributeError):
                 pass
+            if isinstance(waiting_on, Timeout) and waiting_on.callbacks == []:
+                self.sim._unschedule(waiting_on)
             self._waiting_on = None
         interrupt_event = Event(self.sim)
         interrupt_event.callbacks.append(self._resume)

@@ -5,9 +5,8 @@ related to the synchronization of a large number of entities within a
 single digital space ... users' actions need to be synchronized in
 real-time to enable seamless interaction."  This package provides the
 tick-based authoritative server, delta encoding, interest management
-over one sorted cell index, client-side prediction, NTP-style clock
-sync, and the consistency metrics the scaling experiments (C3a)
-measure.
+over one sorted cell index, client-side prediction, and the consistency
+metrics the scaling experiments (C3a) measure.
 """
 
 from repro.sync.client import SyncClient
@@ -30,7 +29,6 @@ from repro.sync.migration import FailoverController, MigratableClient
 from repro.sync.prediction import MoveInput, PredictedAvatar
 from repro.sync.protocol import ClientUpdate, ServerSnapshot
 from repro.sync.server import ServerCostModel, SyncServer
-from repro.sync.timesync import NtpSynchronizer, TimeSyncError
 
 __all__ = [
     "BatchDeltaEncoder",
@@ -45,7 +43,6 @@ __all__ = [
     "DeltaEncoder",
     "InterestConfig",
     "InterestManager",
-    "NtpSynchronizer",
     "ServerCostModel",
     "ShardDelta",
     "ShardedSyncService",
@@ -55,6 +52,5 @@ __all__ = [
     "ServerSnapshot",
     "SyncClient",
     "SyncServer",
-    "TimeSyncError",
     "WorldState",
 ]

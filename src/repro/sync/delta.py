@@ -252,9 +252,6 @@ class WorldState:
     def id_at(self, slot: int) -> Optional[str]:
         return self._slot_ids[slot]
 
-    def state_at(self, slot: int) -> Optional[AvatarState]:
-        return self._slot_states[slot]
-
     def states_at(self, slots) -> List[AvatarState]:
         """Gather the live state objects at ``slots`` (no copies)."""
         slot_states = self._slot_states

@@ -196,7 +196,7 @@ class ShardRelay:
             world, [self.dst_site],
             np.array([0, len(rel_slots)], dtype=np.int64), rel_slots)
         sent_slots = rel_slots[send_mask]
-        states = [world.state_at(s).copy() for s in sent_slots.tolist()]
+        states = world.states_at(sent_slots.tolist())
         states_bytes = int(world.wire_sizes[sent_slots].sum())
         return states, removed_lists[0], bool(full_flags[0]), states_bytes
 

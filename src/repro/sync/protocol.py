@@ -71,14 +71,3 @@ class ServerSnapshot:
         size += 8 * len(self.removed)
         return size
 
-
-@dataclass
-class TimePing:
-    """NTP-style exchange: client stamps t0, server adds t1/t2."""
-
-    client_send: float
-    server_receive: float = 0.0
-    server_send: float = 0.0
-
-    SIZE_BYTES = 48
-

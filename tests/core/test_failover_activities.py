@@ -1,15 +1,8 @@
-"""Failure injection (backbone outage + cloud relay) and activities."""
+"""Failure injection: backbone outage and cloud relay."""
 
 import numpy as np
 import pytest
 
-from repro.core.activities import (
-    GamifiedBreakout,
-    RestrictedLabSession,
-    StoryAuthoring,
-    form_teams,
-)
-from repro.content.objects import ContentLibrary
 from repro.core.metaverse import MetaverseClassroom
 from repro.core.participant import Participant
 from repro.simkit import Simulator
@@ -69,100 +62,6 @@ def test_fail_backbone_validation():
     deployment.wire()
     with pytest.raises(KeyError):
         deployment.fail_backbone("cwb", "mars")
-
-
-def test_form_teams_balanced():
-    rng = np.random.default_rng(0)
-    teams = form_teams([f"s{i}" for i in range(10)], team_size=3, rng=rng)
-    assert [len(t) for t in teams] == [3, 3, 3, 1]
-    assert sorted(pid for team in teams for pid in team) == [f"s{i}" for i in range(10)]
-    with pytest.raises(ValueError):
-        form_teams([], 3, rng)
-    with pytest.raises(ValueError):
-        form_teams(["a"], 0, rng)
-
-
-def test_breakout_better_network_solves_more():
-    """Section 3.1 activity as a latency consumer."""
-    outcomes = {}
-    for rtt in (30.0, 400.0):
-        sim = Simulator(seed=5)
-        breakout = GamifiedBreakout(sim, n_puzzles=6, time_limit_s=1800.0,
-                                    platform_rtt_ms=rtt)
-        for team in form_teams([f"s{i}" for i in range(12)], 4,
-                               sim.rng.stream("teams")):
-            breakout.run_team(team)
-        sim.run()
-        outcomes[rtt] = breakout.mean_puzzles_solved()
-    assert outcomes[30.0] > outcomes[400.0]
-
-
-def test_breakout_timeout_recorded():
-    sim = Simulator(seed=6)
-    breakout = GamifiedBreakout(sim, n_puzzles=20, base_solve_s=600.0,
-                                time_limit_s=600.0, platform_rtt_ms=50.0)
-    breakout.run_team(["solo"])
-    sim.run()
-    assert breakout.completion_rate() == 0.0
-    result = breakout.results[0]
-    assert not result.finished
-    assert result.puzzles_solved < 20
-
-
-def test_breakout_validation():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        GamifiedBreakout(sim, n_puzzles=0)
-    with pytest.raises(ValueError):
-        GamifiedBreakout(sim, base_solve_s=0.0)
-    breakout = GamifiedBreakout(sim)
-    with pytest.raises(ValueError):
-        breakout.run_team([])
-    with pytest.raises(RuntimeError):
-        breakout.completion_rate()
-
-
-def test_story_authoring_contributes_content():
-    sim = Simulator(seed=7)
-    library = ContentLibrary()
-    authoring = StoryAuthoring(library, sim.rng.stream("story"))
-    nodes = authoring.author_story("aria", n_nodes=5,
-                                   tags=frozenset({"week4"}))
-    assert len(library) == 5
-    assert all(node.kind == "adventure_story" for node in nodes)
-    assert 1 <= authoring.playthrough_length(nodes) <= 5
-    with pytest.raises(ValueError):
-        authoring.author_story("aria", 0)
-    with pytest.raises(ValueError):
-        authoring.playthrough_length([])
-
-
-def test_restricted_lab_queues_and_tracks_waits():
-    sim = Simulator(seed=8)
-    lab = RestrictedLabSession(sim, capacity=1)
-    for _ in range(4):
-        lab.student_session(experiment_s=100.0)
-    sim.run()
-    assert lab.sessions_completed == 4
-    waits = lab.wait_times.samples
-    assert waits == [0.0, 100.0, 200.0, 300.0]
-    assert lab.utilization(horizon=400.0) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        lab.student_session(0.0)
-    with pytest.raises(ValueError):
-        lab.utilization(0.0)
-
-
-def test_restricted_lab_more_capacity_cuts_waits():
-    def total_wait(capacity):
-        sim = Simulator(seed=9)
-        lab = RestrictedLabSession(sim, capacity=capacity)
-        for _ in range(8):
-            lab.student_session(experiment_s=50.0)
-        sim.run()
-        return sum(lab.wait_times.samples)
-
-    assert total_wait(4) < total_wait(1)
 
 
 def test_cloud_relay_preserves_seat_placement():

@@ -318,6 +318,29 @@ def test_arch003_pragma_suppresses():
     assert arch003({NEUTRAL: src}) == ([], [(NEUTRAL, 1)])
 
 
+def test_arch003_flags_name_only_imported():
+    files = {NEUTRAL: "def helper():\n    return 1\n",
+             SIBLING: "from repro.metrics.example import helper\n"}
+    assert arch003(files) == ([(NEUTRAL, 1)], [])
+
+
+def test_arch003_flags_name_used_only_by_suppressed_definition():
+    files = {NEUTRAL: "class Config:\n    size = 1\n",
+             SIBLING: ("from repro.metrics.example import Config\n\n\n"
+                       "def oracle():  # replint: ignore[ARCH003] -- test oracle\n"
+                       "    return Config()\n")}
+    assert arch003(files) == ([(NEUTRAL, 1)], [(SIBLING, 4)])
+
+
+def test_arch003_name_used_by_unsuppressed_definition_passes():
+    files = {NEUTRAL: "class Config:\n    size = 1\n",
+             SIBLING: ("from repro.metrics.example import Config\n\n\n"
+                       "def build():\n    return Config()\n"),
+             BENCH: ("from repro.metrics.sibling import build\n\n\n"
+                     "def main():\n    return build()\n")}
+    assert arch003(files) == ([], [])
+
+
 # -- the whole registry ------------------------------------------------------
 
 

@@ -162,6 +162,7 @@ def test_every_interrupt_ends_it_cleanly():
     assert calls == [0.0, 1.0, 2.0]
     assert proc.ok
     assert ended == [2.5]
+    assert sim.now == 2.5
 
 
 def test_every_counts_steps_through_float_drift():

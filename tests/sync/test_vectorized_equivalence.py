@@ -130,7 +130,8 @@ def test_batch_encoder_matches_scalar_oracle(seed, keyframe_interval):
         for i, (states, removed, full) in enumerate(oracle):
             sent_slots = flat_slots[offsets[i]:offsets[i + 1]][
                 send_mask[offsets[i]:offsets[i + 1]]]
-            assert {_canon_state(world.state_at(s)) for s in sent_slots} == \
+            sent = world.states_at(sent_slots)
+            assert {_canon_state(state) for state in sent} == \
                 {_canon_state(state) for state in states}, (seed, step, i)
             assert set(removed_lists[i]) == set(removed), (seed, step, i)
             assert bool(full_flags[i]) == full, (seed, step, i)
@@ -287,7 +288,8 @@ def test_stale_readd_stays_suppressed_after_an_unchanged_row(encoder_cls):
         slots = np.asarray(sorted(world.slot_of(i) for i in ids))
         mask, _full, removed = encoder.encode_batch(
             world, ["sub"], np.array([0, len(slots)]), slots)
-        return sorted(world.state_at(s).seq for s in slots[mask]), removed[0]
+        sent = world.states_at(slots[mask])
+        return sorted(state.seq for state in sent), removed[0]
 
     for entity_id in ("a", "b"):
         world.apply(AvatarState(entity_id, 0.0, Pose(), seq=1))
