@@ -7,15 +7,11 @@ modality is profiled on the same axes so experiment F1 can regenerate the
 qualitative comparison as numbers.
 """
 
-from repro.baselines.ar_overlay import ArOverlayClassroom
 from repro.baselines.profiles import MODALITY_PROFILES, ModalityProfile
 from repro.baselines.videoconf import VideoConferencePlatform
-from repro.baselines.vr_only import VrRemotePlatform
 
 __all__ = [
-    "ArOverlayClassroom",
     "MODALITY_PROFILES",
     "ModalityProfile",
     "VideoConferencePlatform",
-    "VrRemotePlatform",
 ]

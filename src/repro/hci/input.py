@@ -64,8 +64,10 @@ class TypingSession:
     """Monte-carlo text entry with per-word speed jitter and retries.
 
     ``obs`` (an optional :class:`~repro.obs.span.SpanTracer`) records one
-    ``input`` span per entry act, so traced interaction experiments can
-    attribute the human text-entry share of an interaction loop.
+    ``input`` span per entry act.  The span covers the tracer-clock time
+    the call took, so it nests in the caller's phase on that clock; the
+    modelled human entry time rides along as its ``modelled_s``
+    attribute.
     """
 
     def __init__(self, modality: InputModality, rng: np.random.Generator,
@@ -82,6 +84,8 @@ class TypingSession:
         if n_words < 0:
             raise ValueError("word count must be >= 0")
         retries_before = self.retries
+        traced = self.obs is not None and self.obs.enabled
+        start = self.obs.now() if traced else 0.0
         elapsed = self.modality.activation_s
         for _ in range(n_words):
             wpm = max(
@@ -94,12 +98,11 @@ class TypingSession:
                 elapsed += 60.0 / wpm
             self.words_entered += 1
         self.elapsed += elapsed
-        if self.obs is not None and self.obs.enabled:
-            start = self.obs.now()
+        if traced:
             self.obs.record_span(
-                "input", "input", start, start + elapsed, parent=trace_parent,
+                "input", "input", start, self.obs.now(), parent=trace_parent,
                 modality=self.modality.name, words=n_words,
-                retries=self.retries - retries_before)
+                retries=self.retries - retries_before, modelled_s=elapsed)
         return elapsed
 
     @property

@@ -772,22 +772,19 @@ class ShardedSyncService:
 
         Clients that have not yet published an entity query from the
         origin — matching what the shard's own tick assumes for a
-        subscriber without a world entity.  Positions are read off the
-        world's SoA position block and copied at send time: the digest
-        rides a packet, and the world rewrites (and, after a removal,
-        reuses) those rows before the packet is delivered.
+        subscriber without a world entity.  Positions are gathered off
+        the world's SoA position block in one copy at send time: the
+        digest rides a packet, and the world rewrites (and, after a
+        removal, reuses) those rows before the packet is delivered.
         """
         world = self.shards[site].world
-        digest: Dict[str, np.ndarray] = {}
-        for user_id, federated in self.clients.items():
-            if federated.home != site:
-                continue
-            slot = world.slot_of(user_id)
-            digest[user_id] = (
-                world.positions_arr[slot].copy() if slot is not None
-                else _ORIGIN
-            )
-        return digest
+        users = [user_id for user_id, federated in self.clients.items()
+                 if federated.migratable.current_server.name == site]
+        slots = [world.slot_of(user_id) for user_id in users]
+        rows = world.positions_arr[
+            [0 if slot is None else slot for slot in slots]]
+        return {user_id: _ORIGIN if slot is None else row
+                for user_id, slot, row in zip(users, slots, rows)}
 
     def _on_shard_delta_packet(self, packet: Packet) -> None:
         delta: ShardDelta = packet.payload

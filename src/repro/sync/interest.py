@@ -9,8 +9,10 @@ against full broadcast.
 The query side is backed by one uniform cell index (:func:`_cell_blocks`)
 with cell size equal to the interest radius, so a radius query only
 examines the 3x3x3 block of cells around the subject instead of every
-entity in the world.  The core is
-:meth:`InterestManager.relevant_indices_batch`: one index over the
+entity in the world; a query of at most :data:`DENSE_MAX_PAIRS` pairs
+examines the same block pairs from one dense mask instead, without the
+index's fixed cost.  The core is
+:meth:`InterestManager.relevant_indices_batch`: one evaluation over the
 stacked entity positions answers every subject as a CSR over entity
 rows; the federation relays call it directly, and the sync server's
 tick through :meth:`InterestManager.relevant_slots`, which reuses last
@@ -42,10 +44,59 @@ _UNINDEXABLE = ("interest positions must be finite, in cells spanning a box "
                 "of fewer than 2^62 cells")
 
 
+#: Largest ``subjects x entities`` query answered densely: one (s, n)
+#: block mask and distance matrix instead of the cell index, whose fixed
+#: cost (key sort, per-cell loop, histogram selection) rules small
+#: queries.  Federated relay queries (at most 1,400 pairs) fall below it,
+#: the 2,000-avatar hall far above; DESIGN.md §7 has the crossover.
+DENSE_MAX_PAIRS = 8192
+
+
 def _squared_distances(points: np.ndarray, subjects: np.ndarray) -> np.ndarray:
     """Row-wise squared distances, in the query's exact float order."""
     d = points - subjects
     return (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2]
+
+
+def _pair_squared_distances(px: np.ndarray, py: np.ndarray, pz: np.ndarray,
+                            qx: np.ndarray, qy: np.ndarray,
+                            qz: np.ndarray) -> np.ndarray:
+    """(queries, entities) squared distances from query ``(qx, qy, qz)``
+    to entity ``(px, py, pz)``: the one float order both query paths
+    use, so they keep and rank exactly the same pairs."""
+    dx = px[None, :] - qx[:, None]
+    dy = py[None, :] - qy[:, None]
+    dz = pz[None, :] - qz[:, None]
+    return (dx * dx + dy * dy) + dz * dz
+
+
+def _indexable(cells: np.ndarray, query_cells: np.ndarray) -> tuple:
+    """``(both, base, span)``: the floored entity and query cells stacked,
+    and the corner and size of the box one cell around them.  A
+    non-finite cell, or a box too large for the cell index's key
+    arithmetic, is an error on either query path, so neither answers
+    what the other refuses."""
+    both = np.concatenate([cells, query_cells])
+    low, high = both.min(axis=0).tolist(), both.max(axis=0).tolist()
+    if not -2.0 ** 61 < min(low) <= max(high) < 2.0 ** 61:  # nan too
+        raise ValueError(_UNINDEXABLE)
+    base = [int(c) - 1 for c in low]
+    span = [int(c) + 2 - b for c, b in zip(high, base)]
+    if span[0] * span[1] * span[2] >= 1 << 62:
+        raise ValueError(_UNINDEXABLE)
+    return both, base, span
+
+
+def _dense_block(cells: np.ndarray, query_cells: np.ndarray) -> np.ndarray:
+    """(queries, entities) mask of the pairs the cell index hands out:
+    entity j is in the 3x3x3 block of cells around query i's cell.  The
+    cells are whole floats below 2^61, so a difference of at most one
+    cell is exact in float arithmetic."""
+    _indexable(cells, query_cells)
+    block = np.abs(cells[None, :, 0] - query_cells[:, None, 0]) <= 1
+    for a in (1, 2):
+        block &= np.abs(cells[None, :, a] - query_cells[:, None, a]) <= 1
+    return block
 
 
 def _cell_blocks(cells: np.ndarray, query_cells: np.ndarray) -> tuple:
@@ -55,18 +106,10 @@ def _cell_blocks(cells: np.ndarray, query_cells: np.ndarray) -> tuple:
     lies in distinct cell ``group[i]``, and ``cells[order[lo[g, m]:lo[g,
     m] + counts[g, m]]]`` are neighbour ``m`` of distinct cell ``g``.
     Keys are mixed-radix over the box one cell around both sets, so every
-    key is in range and no neighbour aliases another cell; a non-finite
-    cell, or a box too large for the key arithmetic, is an error."""
-    both = np.concatenate([cells, query_cells])
-    if not np.abs(both).max() < 2.0 ** 61:  # also taken for nan
-        raise ValueError(_UNINDEXABLE)
-    both = both.astype(np.int64)
-    base = both.min(axis=0) - 1
-    span = both.max(axis=0) + 2 - base
-    if int(span[0]) * int(span[1]) * int(span[2]) >= 1 << 62:
-        raise ValueError(_UNINDEXABLE)
+    key is in range and no neighbour aliases another cell."""
+    both, base, span = _indexable(cells, query_cells)
     radix = np.array([span[1] * span[2], span[2], 1])
-    keys = (both - base) @ radix
+    keys = (both.astype(np.int64) - np.array(base)) @ radix
     order = np.argsort(keys[:len(cells)], kind="stable")
     sorted_keys = keys[order]
     uniq = np.unique(keys[len(cells):])
@@ -155,7 +198,8 @@ def naive_relevant(
 
 
 class InterestManager:
-    """Computes each subscriber's relevant entity set via a cell index."""
+    """Computes each subscriber's relevant entity set via a cell index
+    (densely for small queries)."""
 
     def __init__(self, config: InterestConfig = InterestConfig()):
         self.config = config
@@ -221,94 +265,127 @@ class InterestManager:
         :func:`naive_relevant`).
 
         Returns ``(offsets, flat)``: subject i's relevant entity rows are
-        ``flat[offsets[i]:offsets[i + 1]]``.  One index build, one fused
-        distance computation over every (subject, candidate) pair, and one
-        global lexsort replace the per-subject Python ranking loop.
+        ``flat[offsets[i]:offsets[i + 1]]``, in no particular order.  A
+        query of at most :data:`DENSE_MAX_PAIRS` pairs is answered
+        densely (:meth:`_dense_nearest`), a larger one through the cell
+        index (:meth:`_indexed_nearest`); both scan, keep and rank the
+        same pairs with the same arithmetic, so the answer and
+        ``last_pairs_scanned`` do not depend on the path.
         """
         n = len(points)
         s = len(subject_points)
         subject_self = np.asarray(subject_self, dtype=np.int64)
         always_indices = np.asarray(always_indices, dtype=np.int64)
-        if n == 0 or s == 0:
-            counts = np.zeros(s, dtype=np.int64)
-            self.last_pairs_scanned = 0
-        else:
+        if n and s:
             size = self.config.radius_m
             subject_points = np.asarray(subject_points, dtype=float)
-            index, group, lo, block_counts = _cell_blocks(
-                np.floor(points / size), np.floor(subject_points / size))
-            self.last_pairs_scanned = _block_pairs(group, block_counts)
-            # Subjects sharing a cell share their candidate block: one
-            # gather takes every distinct cell's block as one slice.
-            blocks = index[concat_ranges(lo.ravel(), block_counts.ravel())]
-            sizes = block_counts.sum(axis=1)
-            block_bounds = np.concatenate(([0], np.cumsum(sizes)))
-            order = np.argsort(group, kind="stable")
-            bounds = np.searchsorted(
-                group[order], np.arange(len(sizes) + 1))
-            px, py, pz = (np.ascontiguousarray(points[:, a])
-                          for a in range(3))
-            qx, qy, qz = (np.ascontiguousarray(subject_points[:, a])
-                          for a in range(3))
-            is_always = np.zeros(n, dtype=bool)
-            is_always[always_indices] = True
-            sq_limit = self.sq_limit()
-            cand_parts: List[np.ndarray] = []
-            subj_parts: List[np.ndarray] = []
-            dist_parts: List[np.ndarray] = []
-            for g in np.flatnonzero(sizes):
-                sg = order[bounds[g]:bounds[g + 1]]
-                block = blocks[block_bounds[g]:block_bounds[g + 1]]
-                # Dense (subjects-in-cell, block) broadcast: identical
-                # differences and float evaluation order to the pairwise
-                # form, with no million-element index gathers.
-                dx = px[block][None, :] - qx[sg][:, None]
-                dy = py[block][None, :] - qy[sg][:, None]
-                dz = pz[block][None, :] - qz[sg][:, None]
-                sq = (dx * dx + dy * dy) + dz * dz
-                keep = (sq <= sq_limit) \
-                    & (block[None, :] != subject_self[sg][:, None]) \
-                    & ~is_always[block][None, :]
-                si, ci = np.nonzero(keep)
-                cand_parts.append(block[ci])
-                subj_parts.append(sg[si])
-                dist_parts.append(sq[si, ci])
-            if cand_parts:
-                cand = np.concatenate(cand_parts)
-                subj = np.concatenate(subj_parts)
-                dist = np.sqrt(np.concatenate(dist_parts))
-                cand, subj = self._select_nearest(
-                    cand, subj, dist, s, id_ranks)
-                # Regroup by subject for the CSR — the per-cell pass
-                # enumerates subjects out of order.
-                regroup = np.argsort(subj, kind="stable")
-                cand, subj = cand[regroup], subj[regroup]
-                counts = np.bincount(subj, minlength=s)
-            else:
-                cand = _EMPTY_INDICES
-                counts = np.zeros(s, dtype=np.int64)
+            cells = np.floor(points / size)
+            query_cells = np.floor(subject_points / size)
+            nearest = self._dense_nearest if s * n <= DENSE_MAX_PAIRS \
+                else self._indexed_nearest
+            cand, subj = nearest(points, subject_points, cells, query_cells,
+                                 subject_self, always_indices, id_ranks)
+        else:
+            cand = subj = _EMPTY_INDICES
+            self.last_pairs_scanned = 0
         # Union in the always-relevant entities (minus the subject itself).
         if len(always_indices) and s:
             a_cand = np.tile(always_indices, s)
             a_subj = np.repeat(np.arange(s, dtype=np.int64),
                                len(always_indices))
             a_keep = a_cand != subject_self[a_subj]
-            a_cand, a_subj = a_cand[a_keep], a_subj[a_keep]
-            if n == 0 or not counts.sum():
-                base_cand = np.empty(0, dtype=np.int64)
-                base_subj = np.empty(0, dtype=np.int64)
-            else:
-                base_cand, base_subj = cand, subj
-            merged_subj = np.concatenate([base_subj, a_subj])
-            merged_cand = np.concatenate([base_cand, a_cand])
+            merged_subj = np.concatenate([subj, a_subj[a_keep]])
+            merged_cand = np.concatenate([cand, a_cand[a_keep]])
             order = np.argsort(merged_subj, kind="stable")
             cand, subj = merged_cand[order], merged_subj[order]
-            counts = np.bincount(subj, minlength=s)
-        elif n == 0 or not counts.sum():
-            cand = np.empty(0, dtype=np.int64)
+        counts = np.bincount(subj, minlength=s)
         offsets = np.concatenate(
             ([0], np.cumsum(counts))).astype(np.int64)
         return offsets, cand
+
+    def _dense_nearest(self, points: np.ndarray, subject_points: np.ndarray,
+                       cells: np.ndarray, query_cells: np.ndarray,
+                       subject_self: np.ndarray, always_indices: np.ndarray,
+                       id_ranks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(cand, subj)`` of a small query, grouped by subject, from one
+        (s, n) block mask and distance matrix.
+
+        The mask holds exactly the pairs the cell index would scan, and a
+        row over the cap keeps its first ``max_entities`` pairs by
+        ``(distance, id rank)`` from one per-row lexsort, in place of the
+        histogram selection: the same exact top-k."""
+        block = _dense_block(cells, query_cells)
+        self.last_pairs_scanned = int(np.count_nonzero(block))
+        sq = _pair_squared_distances(
+            points[:, 0], points[:, 1], points[:, 2],
+            subject_points[:, 0], subject_points[:, 1], subject_points[:, 2])
+        keep = block & (sq <= self.sq_limit())
+        keep[:, always_indices] = False
+        own = (subject_self >= 0).nonzero()[0]
+        keep[own, subject_self[own]] = False
+        limit = self.config.max_entities
+        over = (keep.sum(axis=1) > limit).nonzero()[0]
+        if len(over):
+            dist = np.where(keep[over], np.sqrt(sq[over]), np.inf)
+            ranks = np.repeat(id_ranks[None, :], len(over), axis=0)
+            # An over-cap row's first ``limit`` pairs are all kept ones.
+            first = np.lexsort((ranks, dist))[:, :limit]
+            keep[over] = False
+            keep[np.repeat(over, limit), first.ravel()] = True
+        subj, cand = keep.nonzero()
+        return cand, subj
+
+    def _indexed_nearest(self, points: np.ndarray,
+                         subject_points: np.ndarray, cells: np.ndarray,
+                         query_cells: np.ndarray, subject_self: np.ndarray,
+                         always_indices: np.ndarray,
+                         id_ranks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(cand, subj)`` of a large query, grouped by subject, through
+        the cell index: one dense broadcast per distinct subject cell
+        against its block, then the histogram selection."""
+        s = len(subject_points)
+        index, group, lo, block_counts = _cell_blocks(cells, query_cells)
+        self.last_pairs_scanned = _block_pairs(group, block_counts)
+        # Subjects sharing a cell share their candidate block: one
+        # gather takes every distinct cell's block as one slice.
+        blocks = index[concat_ranges(lo.ravel(), block_counts.ravel())]
+        sizes = block_counts.sum(axis=1)
+        block_bounds = np.concatenate(([0], np.cumsum(sizes)))
+        order = np.argsort(group, kind="stable")
+        bounds = np.searchsorted(group[order], np.arange(len(sizes) + 1))
+        px, py, pz = (np.ascontiguousarray(points[:, a]) for a in range(3))
+        qx, qy, qz = (np.ascontiguousarray(subject_points[:, a])
+                      for a in range(3))
+        is_always = np.zeros(len(points), dtype=bool)
+        is_always[always_indices] = True
+        sq_limit = self.sq_limit()
+        cand_parts: List[np.ndarray] = []
+        subj_parts: List[np.ndarray] = []
+        dist_parts: List[np.ndarray] = []
+        for g in np.flatnonzero(sizes):
+            sg = order[bounds[g]:bounds[g + 1]]
+            block = blocks[block_bounds[g]:block_bounds[g + 1]]
+            # Dense (subjects-in-cell, block) broadcast: no
+            # million-element index gathers.
+            sq = _pair_squared_distances(px[block], py[block], pz[block],
+                                         qx[sg], qy[sg], qz[sg])
+            keep = (sq <= sq_limit) \
+                & (block[None, :] != subject_self[sg][:, None]) \
+                & ~is_always[block][None, :]
+            si, ci = np.nonzero(keep)
+            cand_parts.append(block[ci])
+            subj_parts.append(sg[si])
+            dist_parts.append(sq[si, ci])
+        if not cand_parts:
+            return _EMPTY_INDICES, _EMPTY_INDICES
+        cand = np.concatenate(cand_parts)
+        subj = np.concatenate(subj_parts)
+        dist = np.sqrt(np.concatenate(dist_parts))
+        cand, subj = self._select_nearest(cand, subj, dist, s, id_ranks)
+        # Regroup by subject — the per-cell pass enumerates subjects out
+        # of order.
+        regroup = np.argsort(subj, kind="stable")
+        return cand[regroup], subj[regroup]
 
     def _select_nearest(
         self,
@@ -373,8 +450,11 @@ class InterestManager:
         if not len(points) or not len(subject_points):
             return 0
         size = self.config.radius_m
-        _order, group, _lo, counts = _cell_blocks(
-            np.floor(points / size), np.floor(subject_points / size))
+        cells = np.floor(points / size)
+        query_cells = np.floor(subject_points / size)
+        if len(points) * len(subject_points) <= DENSE_MAX_PAIRS:
+            return int(np.count_nonzero(_dense_block(cells, query_cells)))
+        _order, group, _lo, counts = _cell_blocks(cells, query_cells)
         return _block_pairs(group, counts)
 
     def relevant_slots(self, world: WorldState,

@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.baselines.ar_overlay import ArOverlayClassroom
 from repro.baselines.profiles import MODALITY_PROFILES
 from repro.baselines.videoconf import VideoConferencePlatform
-from repro.baselines.vr_only import VrRemotePlatform
 
 
 def test_profiles_cover_the_four_modalities():
@@ -58,40 +56,3 @@ def test_videoconf_latency_and_validation():
         platform.visible_tiles(0)
     with pytest.raises(ValueError):
         VideoConferencePlatform(uplink_bps=0)
-
-
-def test_vr_only_sickness_grows_with_time():
-    platform = VrRemotePlatform()
-    short = platform.sickness_after(10.0)
-    long = platform.sickness_after(60.0)
-    assert long.total > short.total
-    with pytest.raises(ValueError):
-        platform.sickness_after(-1.0)
-
-
-def test_vr_only_session_length_cap():
-    platform = VrRemotePlatform()
-    assert platform.usable_fraction_of_session(30.0) == 1.0
-    assert platform.usable_fraction_of_session(90.0) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        platform.usable_fraction_of_session(0.0)
-
-
-def test_ar_overhead_and_triggers():
-    ar = ArOverlayClassroom()
-    assert ar.task_time_factor(is_novice=True) > 1.0
-    assert ar.task_time_factor(is_novice=False) == 1.0
-    assert ar.activity_success_rate(0) == 1.0
-    assert ar.activity_success_rate(5) < ar.activity_success_rate(1)
-    assert not ar.supports_remote_learners
-    with pytest.raises(ValueError):
-        ar.activity_success_rate(-1)
-
-
-def test_ar_validation():
-    with pytest.raises(ValueError):
-        ArOverlayClassroom(novice_training_overhead=0.9)
-    with pytest.raises(ValueError):
-        ArOverlayClassroom(trigger_recognition_rate=0.0)
-    with pytest.raises(ValueError):
-        ArOverlayClassroom(overlay_cognitive_load=1.5)

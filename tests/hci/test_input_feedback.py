@@ -1,10 +1,13 @@
 """Unit tests for input modalities and multi-modal feedback."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.hci.feedback import FeedbackCue, MultiModalFeedback, STANDARD_CUES
 from repro.hci.input import INPUT_MODALITIES, InputModality, TypingSession
+from repro.obs.span import SpanTracer
 
 
 def test_headset_inputs_slower_than_keyboard():
@@ -47,6 +50,24 @@ def test_typing_session_monte_carlo_matches_model():
     session.enter_words(500)
     assert session.achieved_wpm == pytest.approx(modality.effective_wpm, rel=0.25)
     assert session.retries > 0
+
+
+def test_input_span_nests_in_its_wall_phase():
+    """The ``input`` span covers the call on the tracer's own clock, so it
+    sits inside the phase that made the call; the modelled entry time is
+    an attribute, not the span's length."""
+    ticks = itertools.count()
+    tracer = SpanTracer(clock=lambda: float(next(ticks)))
+    session = TypingSession(INPUT_MODALITIES["speech"],
+                            np.random.default_rng(0), obs=tracer)
+    phase = tracer.start_span("speech", "phase", None)
+    modelled = session.enter_words(40, trace_parent=phase)
+    phase.finish()
+    (span,) = tracer.spans("input")
+    assert span.context.parent_id == phase.context.span_id
+    assert phase.start <= span.start <= span.end <= phase.end
+    assert span.duration < modelled
+    assert span.attrs["modelled_s"] == modelled
 
 
 def test_typing_session_validation():

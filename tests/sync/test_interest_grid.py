@@ -6,8 +6,12 @@ configuration it returns exactly the sets the original O(N) linear scan
 cannot index is an error, never a wrong answer or a wrong pair count.
 The equivalence tests are marked ``interest_equivalence`` so CI can run
 just them (``pytest -m interest_equivalence``) without the benchmark
-sweep; they are part of tier-1 by default.
+sweep; they are part of tier-1 by default.  A query of at most
+``DENSE_MAX_PAIRS`` pairs is answered densely, a larger one through the
+cell index; the equivalence tests run on both paths.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.avatar.state import AvatarState
 from repro.sensing.pose import Pose
+from repro.sync import interest
 from repro.sync.delta import WorldState
 from repro.sync.interest import (
     BroadcastInterest,
@@ -23,6 +28,19 @@ from repro.sync.interest import (
     InterestManager,
     naive_relevant,
 )
+
+
+PATHS = ("indexed", "dense")
+
+
+@contextlib.contextmanager
+def _on_path(path):
+    """Every query on the cell index, or every query dense, by moving the
+    size threshold."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(interest, "DENSE_MAX_PAIRS",
+                      0 if path == "indexed" else 1 << 62)
+        yield
 
 
 # -- batch API ---------------------------------------------------------------
@@ -72,21 +90,35 @@ def test_out_of_range_subject_cell_raises_instead_of_aliasing():
         "low": np.array([0.5, 1.5, -edge + 0.5]),
         "mate": np.array([0.5, 1.5, -edge + 0.9]),
     }
-    manager = InterestManager(config)
-    got = manager.relevant_batch(positions)
-    for subject_id, position in positions.items():
-        assert got[subject_id] == naive_relevant(
-            config, subject_id, position, positions)
-    assert got["low"] == {"mate"}
-    assert got["far"] == set()
     # A box of 2^22 cells a side holds 2^66 keys: too many for int64.
     wide = float(1 << 21)
     corners = {
         "low": np.array([-wide, -wide, -wide]),
         "high": np.array([wide, wide, wide]),
     }
-    with pytest.raises(ValueError, match="2\\^62"):
-        manager.relevant_batch(corners)
+    for path in PATHS:
+        with _on_path(path):
+            manager = InterestManager(config)
+            got = manager.relevant_batch(positions)
+            for subject_id, position in positions.items():
+                assert got[subject_id] == naive_relevant(
+                    config, subject_id, position, positions), path
+            assert got["low"] == {"mate"}, path
+            assert got["far"] == set(), path
+            with pytest.raises(ValueError, match="2\\^62"):
+                manager.relevant_batch(corners)
+            points = np.stack(list(corners.values()))
+            with pytest.raises(ValueError, match="2\\^62"):
+                manager.pairs_scanned(points, points)
+            # Cells past 2^61 are an error even when the box around them
+            # is small: int64 keys cannot offset them safely.
+            cluster = np.array([[5e18, 0.5, 0.5], [5e18 + 1024.0, 0.5, 0.5]])
+            with pytest.raises(ValueError, match="2\\^62"):
+                manager.relevant_indices_batch(
+                    cluster, cluster, np.array([0, 1]),
+                    np.empty(0, dtype=np.int64), np.arange(2))
+            with pytest.raises(ValueError, match="2\\^62"):
+                manager.pairs_scanned(cluster, cluster)
 
 
 @pytest.mark.interest_equivalence
@@ -97,23 +129,29 @@ def test_unindexable_position_raises_for_query_count_and_reuse(far):
     and for the reuse test of the server's tick, wherever the entity is
     relative to the subjects."""
     config = InterestConfig(radius_m=1.0, max_entities=8)
-    manager = InterestManager(config)
     points = np.array([[0.5, 0.5, 0.5], [0.6, 0.5, 0.5], [far, 0.5, 0.5]])
-    with pytest.raises(ValueError, match="finite"):
-        manager.relevant_indices_batch(
-            points, points[:2], np.array([0, 1]),
-            np.empty(0, dtype=np.int64), np.arange(3))
-    with pytest.raises(ValueError, match="finite"):
-        manager.pairs_scanned(points, points[:2])
-    # The tick's reuse: "c" moves out to ``far`` while the subjects stay.
-    world = WorldState()
-    for pid, row in zip("abc", points[:2].tolist() + [[0.7, 0.5, 0.5]]):
-        world.apply(AvatarState(pid, 1.0, Pose(np.array(row)), seq=1))
-    manager.relevant_slots(world, ["a", "b"])
-    world.apply(AvatarState("c", 2.0, Pose(points[2]), seq=2))
-    with pytest.raises(ValueError, match="finite") as raised:
-        manager.relevant_slots(world, ["a", "b"])
-    assert any(entry.name == "_stale_rows" for entry in raised.traceback)
+    for path in PATHS:
+        with _on_path(path):
+            manager = InterestManager(config)
+            with pytest.raises(ValueError, match="finite"):
+                manager.relevant_indices_batch(
+                    points, points[:2], np.array([0, 1]),
+                    np.empty(0, dtype=np.int64), np.arange(3))
+            with pytest.raises(ValueError, match="finite"):
+                manager.pairs_scanned(points, points[:2])
+            # The tick's reuse: "c" moves out to ``far`` while the subjects
+            # stay.
+            world = WorldState()
+            rows = points[:2].tolist() + [[0.7, 0.5, 0.5]]
+            for pid, row in zip("abc", rows):
+                world.apply(
+                    AvatarState(pid, 1.0, Pose(np.array(row)), seq=1))
+            manager.relevant_slots(world, ["a", "b"])
+            world.apply(AvatarState("c", 2.0, Pose(points[2]), seq=2))
+            with pytest.raises(ValueError, match="finite") as raised:
+                manager.relevant_slots(world, ["a", "b"])
+            assert any(entry.name == "_stale_rows"
+                       for entry in raised.traceback)
 
 
 def test_broadcast_batch_matches_single_subject():
@@ -163,18 +201,82 @@ def _random_scenario(rng):
 @pytest.mark.interest_equivalence
 def test_grid_matches_naive_across_randomized_scenarios():
     """120 randomized scenarios; every subject's set must be identical."""
-    rng = np.random.default_rng(20220707)
-    for scenario in range(120):
-        config, positions, subjects = _random_scenario(rng)
-        manager = InterestManager(config)
-        batch = manager.relevant_batch(positions, subjects)
-        assert set(batch) == set(subjects)
-        for subject_id, point in subjects.items():
-            expected = naive_relevant(config, subject_id, point, positions)
-            assert batch[subject_id] == expected, (
-                f"scenario {scenario}: subject {subject_id} "
-                f"grid={batch[subject_id]} naive={expected}"
-            )
+    for path in PATHS:
+        with _on_path(path):
+            rng = np.random.default_rng(20220707)
+            for scenario in range(120):
+                config, positions, subjects = _random_scenario(rng)
+                manager = InterestManager(config)
+                batch = manager.relevant_batch(positions, subjects)
+                assert set(batch) == set(subjects)
+                for subject_id, point in subjects.items():
+                    expected = naive_relevant(config, subject_id, point,
+                                              positions)
+                    assert batch[subject_id] == expected, (
+                        f"{path} scenario {scenario}: subject {subject_id} "
+                        f"got={batch[subject_id]} naive={expected}"
+                    )
+
+
+@pytest.mark.interest_equivalence
+def test_dense_and_indexed_paths_scan_and_answer_alike():
+    """Both paths return the same rows and scan the same pairs, with
+    crowded worlds whose subjects are over the cap and tie on distance."""
+    rng = np.random.default_rng(24)
+    for scenario in range(60):
+        n, s = int(rng.integers(1, 90)), int(rng.integers(1, 20))
+        config = InterestConfig(float(rng.uniform(0.5, 6.0)),
+                                int(rng.integers(1, 10)))
+        points = rng.integers(-4, 5, size=(n, 3)).astype(float)
+        subject_points = rng.uniform(-5.0, 5.0, size=(s, 3))
+        subject_self = np.where(rng.random(s) < 0.5,
+                                rng.integers(0, n, size=s), -1)
+        always = np.flatnonzero(rng.random(n) < 0.1)
+        ranks = rng.permutation(n)
+        answers = {}
+        for path in PATHS:
+            with _on_path(path):
+                manager = InterestManager(config)
+                offsets, flat = manager.relevant_indices_batch(
+                    points, subject_points, subject_self, always, ranks)
+                rows = [sorted(flat[offsets[i]:offsets[i + 1]].tolist())
+                        for i in range(s)]
+                pairs = manager.pairs_scanned(points, subject_points)
+                assert pairs == manager.last_pairs_scanned, (path, scenario)
+                answers[path] = (rows, pairs)
+        assert answers["dense"] == answers["indexed"], scenario
+
+
+def test_dense_threshold_selects_the_path(monkeypatch):
+    """A query of exactly ``DENSE_MAX_PAIRS`` pairs never builds the cell
+    index, one pair more does, for the query and for the pair count.
+    Federated relay queries (at most 1,400 pairs) are dense and the
+    2,000-avatar hall's 2,000 x 2,000 query is indexed."""
+    assert interest.DENSE_MAX_PAIRS == 8192
+    assert 1_400 <= interest.DENSE_MAX_PAIRS < 2_000 * 2_000
+    builds = []
+    cell_blocks = interest._cell_blocks
+
+    def counted(*args):
+        builds.append(len(args[0]) * len(args[1]))
+        return cell_blocks(*args)
+
+    monkeypatch.setattr(interest, "_cell_blocks", counted)
+    manager = InterestManager(InterestConfig(radius_m=2.0, max_entities=4))
+    subject = np.zeros((1, 3))
+    for n, built in ((interest.DENSE_MAX_PAIRS, []),
+                     (interest.DENSE_MAX_PAIRS + 1,
+                      [interest.DENSE_MAX_PAIRS + 1])):
+        points = np.random.default_rng(n).uniform(-9.0, 9.0, size=(n, 3))
+        builds.clear()
+        manager.relevant_indices_batch(
+            points, subject, np.array([-1]), np.empty(0, dtype=np.int64),
+            np.arange(n))
+        assert builds == built, n
+        builds.clear()
+        assert manager.pairs_scanned(points, subject) \
+            == manager.last_pairs_scanned
+        assert builds == built, n
 
 
 @pytest.mark.interest_equivalence
@@ -202,13 +304,16 @@ def test_grid_matches_naive_hypothesis(n, radius, cap, seed):
     positions = {f"p{i}": rng.uniform(-15, 15, size=3) for i in range(n)}
     always = frozenset({"p0"}) if n > 2 else frozenset()
     config = InterestConfig(radius, cap, always)
-    manager = InterestManager(config)
-    batch = manager.relevant_batch(positions)
-    for subject_id in positions:
-        assert batch[subject_id] == naive_relevant(
-            config, subject_id, positions[subject_id], positions
-        )
-    # The count the server charges for reused rows is the query's own.
     points = np.array(list(positions.values())).reshape(-1, 3)
-    assert manager.pairs_scanned(points, points) \
-        == manager.last_pairs_scanned
+    for path in PATHS:
+        with _on_path(path):
+            manager = InterestManager(config)
+            batch = manager.relevant_batch(positions)
+            for subject_id in positions:
+                assert batch[subject_id] == naive_relevant(
+                    config, subject_id, positions[subject_id], positions
+                ), path
+            # The count the server charges for reused rows is the
+            # query's own.
+            assert manager.pairs_scanned(points, points) \
+                == manager.last_pairs_scanned, path

@@ -2,7 +2,9 @@
 
 Each change appends one record: its parent commit, the host, the
 command, the five workloads' end-to-end medians and operation counts,
-and the replay fingerprints at seeds 42 and 7.  A malformed or
+and the replay fingerprints at seeds 42 and 7.  Records from
+``RAW_WALL_FROM_PR`` on also carry each workload's median unscaled
+repetition time, ``raw_wall_s``, next to the scaled medians.  A malformed or
 out-of-order append fails here rather than when a later change tries to
 read the trend.
 """
@@ -18,6 +20,8 @@ WORKLOADS = ("hall-stream", "hall-still", "world-seminar",
 METRICS = ("setup_s", "wall_s", "op_ms_p50", "op_ms_p90", "peak_rss_mb")
 FIELDS = ("pr", "parent", "host", "command", "units", "ops", "fingerprints",
           "medians")
+#: The ``pr`` of the first record that must carry ``raw_wall_s``.
+RAW_WALL_FROM_PR = 24
 
 
 def _records():
@@ -50,3 +54,15 @@ def test_records_are_appended_in_change_order():
     prs = [record["pr"] for record in _records()]
     assert all(isinstance(pr, int) for pr in prs)
     assert all(a < b for a, b in zip(prs, prs[1:])), prs
+
+
+def test_records_carry_raw_wall_time():
+    """Scaled times move with the speed probe; the unscaled repetition
+    time beside them shows whether the program itself moved."""
+    for record in _records():
+        if record["pr"] < RAW_WALL_FROM_PR:
+            continue
+        raw = record["raw_wall_s"]
+        assert set(raw) == set(WORKLOADS), record["pr"]
+        assert all(isinstance(value, (int, float)) and math.isfinite(value)
+                   and value > 0 for value in raw.values()), record["pr"]
