@@ -87,8 +87,7 @@ def run_churn(seed, keyframe_interval, broadcast=False):
     sim = Simulator(seed=seed)
     rng = np.random.default_rng(seed)
     interest = BroadcastInterest() if broadcast else InterestManager(
-        InterestConfig(radius_m=6.0, max_entities=4,
-                       always_relevant=frozenset({"e0"})))
+        InterestConfig(radius_m=6.0, max_entities=4))
     server = SyncServer(
         sim, tick_rate_hz=20.0, interest=interest,
         keyframe_interval=keyframe_interval)
