@@ -15,7 +15,7 @@ from repro.metrics.histogram import (
 )
 from repro.metrics.latency import LatencyTracker, StageBudget
 from repro.metrics.qoe import InteractionQoeModel, VideoQoeModel
-from repro.metrics.stats import Summary, bootstrap_ci, summarize
+from repro.metrics.stats import Summary, summarize
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
@@ -29,7 +29,6 @@ __all__ = [
     "StageBudget",
     "Summary",
     "VideoQoeModel",
-    "bootstrap_ci",
     "label_string",
     "summarize",
 ]

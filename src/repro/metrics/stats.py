@@ -1,9 +1,9 @@
-"""Summary statistics with confidence intervals."""
+"""Summary statistics of a sample."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -47,30 +47,3 @@ def summarize(values: Sequence[float]) -> Summary:
         p99=float(p99),
         maximum=float(array.max()),
     )
-
-
-def bootstrap_ci(  # replint: ignore[ARCH003] -- test-only, queued for deletion
-    values: Sequence[float],
-    confidence: float = 0.95,
-    n_resamples: int = 2000,
-    statistic=np.mean,
-    rng: Optional[np.random.Generator] = None,
-) -> Tuple[float, float]:
-    """Percentile-bootstrap confidence interval for ``statistic``.
-
-    Deterministic when an explicit ``rng`` is passed.
-    """
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    array = np.asarray(values, dtype=float)
-    if array.size == 0:
-        raise ValueError("cannot bootstrap an empty sample")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    estimates = np.empty(n_resamples)
-    for i in range(n_resamples):
-        resample = rng.choice(array, size=array.size, replace=True)
-        estimates[i] = statistic(resample)
-    tail = (1.0 - confidence) / 2.0
-    low, high = np.percentile(estimates, [100.0 * tail, 100.0 * (1.0 - tail)])
-    return float(low), float(high)

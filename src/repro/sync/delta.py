@@ -171,9 +171,9 @@ class WorldState:
         self.stamps[slot] = self.version
         return True
 
-    def apply_many(self, states: List[AvatarState],
-                   owner: int = OWNER_LOCAL) -> int:
-        """Batch :meth:`apply`; returns how many updates were applied.
+    def apply_many(self, states: List[AvatarState]) -> int:
+        """Batch :meth:`apply` of locally owned states; returns how many
+        updates were applied.
 
         Semantically identical to applying each state in order.  The fast
         path vectorizes the staleness test and the array scatters for the
@@ -185,7 +185,7 @@ class WorldState:
         """
         m = len(states)
         if m < 2:
-            return sum(1 for st in states if self.apply(st, owner))
+            return sum(1 for st in states if self.apply(st))
         index = self._index
         slots = np.empty(m, dtype=np.int64)
         simple = True
@@ -197,7 +197,7 @@ class WorldState:
                 break
             slots[j] = slot
         if not simple or len(np.unique(slots)) != m:
-            return sum(1 for st in states if self.apply(st, owner))
+            return sum(1 for st in states if self.apply(st))
         new_epochs = np.fromiter(
             (getattr(st, "epoch", 0) for st in states),
             dtype=np.int64, count=m)
@@ -207,7 +207,7 @@ class WorldState:
         fresh = (new_epochs > cur_e) \
             | ((new_epochs == cur_e) & (new_seqs > cur_s))
         if not fresh.all():
-            return sum(1 for st in states if self.apply(st, owner))
+            return sum(1 for st in states if self.apply(st))
         self.positions_arr[slots] = np.concatenate(
             [st.pose.position for st in states]).reshape(m, 3)
         self.orientations_arr[slots] = np.concatenate(
@@ -215,7 +215,7 @@ class WorldState:
         self.seqs[slots] = new_seqs
         self.epochs[slots] = new_epochs
         self.wire_sizes[slots] = _BASE_WIRE_BYTES
-        self.owners[slots] = owner
+        self.owners[slots] = OWNER_LOCAL
         slot_states = self._slot_states
         entities = self.entities
         for slot, st in zip(slots.tolist(), states):

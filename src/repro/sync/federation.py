@@ -88,6 +88,14 @@ _ORIGIN = np.zeros(3)
 #: quantized coordinates.
 DIGEST_ENTRY_BYTES = 20
 
+#: Inter-shard link rate (bits/s): a datacenter-to-datacenter backbone.
+INTER_SHARD_RATE_BPS = 1e9
+
+#: One-way delays (s) for hand-built plans whose site names are not
+#: world cities, or whose users have neither geography nor a planned RTT.
+FALLBACK_INTER_SHARD_DELAY = 0.02
+FALLBACK_ACCESS_DELAY = 0.005
+
 
 @dataclass
 class ShardDelta:
@@ -187,7 +195,7 @@ class ShardRelay:
                 rel_slots = cached[4]
             else:
                 rel_slots = self._relevant_slots(
-                    world, ids, slots, points, rows, subject_points)
+                    world, slots, points, rows, subject_points)
                 self._relevant = (ids, slots, points, subject_points,
                                   rel_slots)
         else:
@@ -200,7 +208,7 @@ class ShardRelay:
         states_bytes = int(world.wire_sizes[sent_slots].sum())
         return states, removed_lists[0], bool(full_flags[0]), states_bytes
 
-    def _relevant_slots(self, world, ids, slots, points, rows,
+    def _relevant_slots(self, world, slots, points, rows,
                         subject_points) -> np.ndarray:
         """Slots of the local entities relevant to any remote subject.
 
@@ -208,12 +216,9 @@ class ShardRelay:
         restricted to the local ``rows``: the restriction keeps their
         relative order, which is all the distance tie-break reads."""
         no_self = np.full(len(subject_points), -1, dtype=np.int64)
-        always_rows = np.flatnonzero(np.fromiter(
-            (entity_id in self.interest.config.always_relevant
-             for entity_id in ids), dtype=bool, count=len(ids)))
         ranks = world.lexicographic_ranks()[rows]
         _offsets, flat = self.interest.relevant_indices_batch(
-            points, subject_points, no_self, always_rows, ranks)
+            points, subject_points, no_self, ranks)
         if not len(flat):
             return np.empty(0, dtype=np.int64)
         return slots[np.unique(flat)]
@@ -289,15 +294,19 @@ class ShardedSyncService:
         Site choice and user→site assignment (usually from
         :func:`~repro.cloud.regions.plan_regions`).  Hand-built plans
         with virtual site names are accepted: unknown sites fall back to
-        ``default_inter_shard_delay`` / ``default_access_delay``.
+        :data:`FALLBACK_INTER_SHARD_DELAY` / :data:`FALLBACK_ACCESS_DELAY`.
     population:
         Optional :class:`~repro.workload.population.RemotePopulation`
         providing user geography, used for cross-site access delays and
         crash-time reassignment.  Without it access delays fall back to
         the plan's recorded RTTs.
-    model:
-        WAN latency model for link propagation delays (jitter-free
-        sampling, so the federation is a pure function of the seed).
+    relay_rate_hz:
+        How often every shard-pair relay fires; by default at the shards'
+        20 Hz tick.
+
+    Link propagation delays come from :attr:`model`, a
+    :class:`~repro.net.latency.WanLatencyModel` sampled jitter-free, so
+    the federation is a pure function of the seed.
     """
 
     def __init__(
@@ -305,46 +314,29 @@ class ShardedSyncService:
         sim: Simulator,
         plan: RegionalPlan,
         population=None,
-        model: Optional[WanLatencyModel] = None,
         *,
-        tick_rate_hz: float = 20.0,
-        relay_rate_hz: Optional[float] = None,
+        relay_rate_hz: float = 20.0,
         interest_config: Optional[InterestConfig] = None,
         cost_model: ServerCostModel = ServerCostModel(),
-        keyframe_interval: int = 30,
-        inter_shard_rate_bps: float = 1e9,
         access_rate_bps: float = 50e6,
-        default_inter_shard_delay: float = 0.02,
-        default_access_delay: float = 0.005,
-        name: str = "fed",
     ):
         if not plan.sites:
             raise ValueError("plan has no sites")
         if len(set(plan.sites)) != len(plan.sites):
             raise ValueError(f"duplicate sites in plan: {plan.sites}")
-        if relay_rate_hz is not None and relay_rate_hz <= 0:
+        if relay_rate_hz <= 0:
             raise ValueError("relay rate must be positive")
         self.sim = sim
         self.plan = plan
         self.population = population
-        self.model = model if model is not None else WanLatencyModel()
-        self.name = name
+        self.model = WanLatencyModel()
+        self.name = "fed"
         self.interest_config = (
             interest_config if interest_config is not None else InterestConfig()
         )
         self.access_rate_bps = float(access_rate_bps)
-        self.default_inter_shard_delay = float(default_inter_shard_delay)
-        self.default_access_delay = float(default_access_delay)
-        self.relay_period = 1.0 / (
-            relay_rate_hz if relay_rate_hz is not None else tick_rate_hz
-        )
-        # Shard construction parameters, kept for elastic growth: a shard
-        # provisioned mid-run (add_site) must be indistinguishable from
-        # one built here.
-        self._tick_rate_hz = float(tick_rate_hz)
+        self.relay_period = 1.0 / relay_rate_hz
         self._cost_model = cost_model
-        self._keyframe_interval = int(keyframe_interval)
-        self._inter_shard_rate_bps = float(inter_shard_rate_bps)
         #: Horizon of the current start() window (None outside a run);
         #: shards added mid-run arm their tick/relay processes for the
         #: remaining span so the whole fleet winds down together.
@@ -388,23 +380,21 @@ class ShardedSyncService:
 
     def _make_shard(self, site: str) -> SyncServer:
         return SyncServer(
-            self.sim, name=site, tick_rate_hz=self._tick_rate_hz,
+            self.sim, name=site,
             interest=InterestManager(self.interest_config),
             cost_model=self._cost_model,
-            keyframe_interval=self._keyframe_interval,
         )
 
     def _make_relay(self, src: str, dst: str) -> ShardRelay:
         link = Link(
-            self.sim, self._inter_shard_rate_bps,
+            self.sim, INTER_SHARD_RATE_BPS,
             self._inter_shard_delay(src, dst),
             name=f"{self.name}:{src}->{dst}",
         )
         return ShardRelay(
             self, src, dst, link,
             interest=InterestManager(self.interest_config),
-            encoder=BatchDeltaEncoder(
-                keyframe_interval=self._keyframe_interval),
+            encoder=BatchDeltaEncoder(),
         )
 
     # -- geography ---------------------------------------------------------
@@ -415,7 +405,7 @@ class ShardedSyncService:
                 WORLD_CITIES[a], WORLD_CITIES[b],
                 CITY_REGIONS[a], CITY_REGIONS[b], sample_jitter=False,
             )
-        return self.default_inter_shard_delay
+        return FALLBACK_INTER_SHARD_DELAY
 
     def access_delay(self, user_id: str, site: str) -> float:
         """One-way user ↔ site delay (jitter-free, so it replays)."""
@@ -428,7 +418,7 @@ class ShardedSyncService:
         rtt = self.plan.rtts.get(user_id)
         if rtt is not None:
             return rtt / 2.0
-        return self.default_access_delay
+        return FALLBACK_ACCESS_DELAY
 
     def nearest_sites(self, user_id: str, sites: Iterable[str]) -> List[str]:
         """``sites`` ordered nearest-first for ``user_id``: by access
@@ -770,16 +760,19 @@ class ShardedSyncService:
     def home_subscriber_digest(self, site: str) -> Dict[str, np.ndarray]:
         """Positions of the clients homed on ``site`` (relay subjects).
 
-        Clients that have not yet published an entity query from the
-        origin — matching what the shard's own tick assumes for a
+        They are the shard's subscribers, in subscription order:
+        :class:`~repro.sync.migration.MigratableClient`'s ``migrate`` and
+        ``failover`` leave a client subscribed on exactly its current
+        server.  Clients that have not yet published an entity query from
+        the origin — matching what the shard's own tick assumes for a
         subscriber without a world entity.  Positions are gathered off
         the world's SoA position block in one copy at send time: the
         digest rides a packet, and the world rewrites (and, after a
         removal, reuses) those rows before the packet is delivered.
         """
-        world = self.shards[site].world
-        users = [user_id for user_id, federated in self.clients.items()
-                 if federated.migratable.current_server.name == site]
+        shard = self.shards[site]
+        world = shard.world
+        users = list(shard.subscriber_ids)
         slots = [world.slot_of(user_id) for user_id in users]
         rows = world.positions_arr[
             [0 if slot is None else slot for slot in slots]]

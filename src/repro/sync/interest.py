@@ -1,10 +1,9 @@
 """Interest management: which entities does each client need?
 
 With thousands of participants, broadcasting everyone to everyone is
-quadratic in bandwidth.  Relevance here combines the classic area-of-
-interest radius with a nearest-k cap and an always-relevant set (the
-instructor, active speakers) — the scheme the C3a experiment ablates
-against full broadcast.
+quadratic in bandwidth.  Relevance here is the classic area-of-
+interest radius with a nearest-k cap — the scheme the C3a experiment
+ablates against full broadcast.
 
 The query side is backed by one uniform cell index (:func:`_cell_blocks`)
 with cell size equal to the interest radius, so a radius query only
@@ -26,7 +25,7 @@ the reference oracle the equivalence tests check the index against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Dict, List, Mapping, NamedTuple, Optional, Set, Tuple
 
@@ -138,7 +137,6 @@ class _LastRows(NamedTuple):
     subscriber_ids: List[str]
     self_slots: np.ndarray
     points: np.ndarray
-    always_slots: np.ndarray
     offsets: np.ndarray
     flat: np.ndarray
     kth: np.ndarray
@@ -154,7 +152,6 @@ class InterestConfig:
 
     radius_m: float = 10.0
     max_entities: int = 50
-    always_relevant: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
         if self.radius_m <= 0:
@@ -173,28 +170,21 @@ def naive_relevant(
 
     This is the original (pre-index) relevance computation, kept as the
     oracle for the index/naive equivalence property tests and for
-    documentation of the policy: always-relevant ids are unconditionally
-    included and do not count against the nearest-k cap; the subject
-    itself is excluded; ties at equal distance break lexicographically
-    by entity id.
+    documentation of the policy: the nearest ``max_entities`` entities
+    within ``radius_m``; the subject itself is excluded; ties at equal
+    distance break lexicographically by entity id.
     """
     subject_position = np.asarray(subject_position, dtype=float)
-    always = {
-        entity_id
-        for entity_id in config.always_relevant
-        if entity_id in positions and entity_id != subject_id
-    }
     candidates: List[tuple] = []
     for entity_id, position in positions.items():
-        if entity_id == subject_id or entity_id in always:
+        if entity_id == subject_id:
             continue
         distance = float(np.linalg.norm(np.asarray(position, dtype=float)
                                         - subject_position))
         if distance <= config.radius_m:
             candidates.append((distance, entity_id))
     candidates.sort()
-    nearest = {entity_id for _d, entity_id in candidates[: config.max_entities]}
-    return always | nearest
+    return {entity_id for _d, entity_id in candidates[: config.max_entities]}
 
 
 class InterestManager:
@@ -236,9 +226,8 @@ class InterestManager:
     ) -> Set[str]:
         """Entity ids relevant to ``subject_id``.
 
-        Always-relevant ids are unconditionally included and do not count
-        against the nearest-k cap; the subject itself is excluded.  Thin
-        single-subject wrapper over :meth:`relevant_batch`.
+        The subject itself is excluded.  Thin single-subject wrapper over
+        :meth:`relevant_batch`.
         """
         batch = self.relevant_batch(
             positions, {subject_id: np.asarray(subject_position, dtype=float)}
@@ -250,7 +239,6 @@ class InterestManager:
         points: np.ndarray,
         subject_points: np.ndarray,
         subject_self: np.ndarray,
-        always_indices: np.ndarray,
         id_ranks: np.ndarray,
     ) -> tuple:
         """Relevance as a CSR over entity *indices* — the vectorized core.
@@ -259,8 +247,7 @@ class InterestManager:
         ``WorldState.compact``); ``subject_points`` the (s, 3) query
         points; ``subject_self[i]`` the row of subject i in ``points`` (-1
         when the subject is not an entity, e.g. a disembodied spectator);
-        ``always_indices`` the rows of the always-relevant entities
-        present; ``id_ranks[j]`` the rank of entity j under lexicographic
+        ``id_ranks[j]`` the rank of entity j under lexicographic
         id order (distance ties break by id, exactly as
         :func:`naive_relevant`).
 
@@ -275,7 +262,6 @@ class InterestManager:
         n = len(points)
         s = len(subject_points)
         subject_self = np.asarray(subject_self, dtype=np.int64)
-        always_indices = np.asarray(always_indices, dtype=np.int64)
         if n and s:
             size = self.config.radius_m
             subject_points = np.asarray(subject_points, dtype=float)
@@ -284,20 +270,10 @@ class InterestManager:
             nearest = self._dense_nearest if s * n <= DENSE_MAX_PAIRS \
                 else self._indexed_nearest
             cand, subj = nearest(points, subject_points, cells, query_cells,
-                                 subject_self, always_indices, id_ranks)
+                                 subject_self, id_ranks)
         else:
             cand = subj = _EMPTY_INDICES
             self.last_pairs_scanned = 0
-        # Union in the always-relevant entities (minus the subject itself).
-        if len(always_indices) and s:
-            a_cand = np.tile(always_indices, s)
-            a_subj = np.repeat(np.arange(s, dtype=np.int64),
-                               len(always_indices))
-            a_keep = a_cand != subject_self[a_subj]
-            merged_subj = np.concatenate([subj, a_subj[a_keep]])
-            merged_cand = np.concatenate([cand, a_cand[a_keep]])
-            order = np.argsort(merged_subj, kind="stable")
-            cand, subj = merged_cand[order], merged_subj[order]
         counts = np.bincount(subj, minlength=s)
         offsets = np.concatenate(
             ([0], np.cumsum(counts))).astype(np.int64)
@@ -305,7 +281,7 @@ class InterestManager:
 
     def _dense_nearest(self, points: np.ndarray, subject_points: np.ndarray,
                        cells: np.ndarray, query_cells: np.ndarray,
-                       subject_self: np.ndarray, always_indices: np.ndarray,
+                       subject_self: np.ndarray,
                        id_ranks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(cand, subj)`` of a small query, grouped by subject, from one
         (s, n) block mask and distance matrix.
@@ -320,7 +296,6 @@ class InterestManager:
             points[:, 0], points[:, 1], points[:, 2],
             subject_points[:, 0], subject_points[:, 1], subject_points[:, 2])
         keep = block & (sq <= self.sq_limit())
-        keep[:, always_indices] = False
         own = (subject_self >= 0).nonzero()[0]
         keep[own, subject_self[own]] = False
         limit = self.config.max_entities
@@ -338,7 +313,6 @@ class InterestManager:
     def _indexed_nearest(self, points: np.ndarray,
                          subject_points: np.ndarray, cells: np.ndarray,
                          query_cells: np.ndarray, subject_self: np.ndarray,
-                         always_indices: np.ndarray,
                          id_ranks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(cand, subj)`` of a large query, grouped by subject, through
         the cell index: one dense broadcast per distinct subject cell
@@ -356,8 +330,6 @@ class InterestManager:
         px, py, pz = (np.ascontiguousarray(points[:, a]) for a in range(3))
         qx, qy, qz = (np.ascontiguousarray(subject_points[:, a])
                       for a in range(3))
-        is_always = np.zeros(len(points), dtype=bool)
-        is_always[always_indices] = True
         sq_limit = self.sq_limit()
         cand_parts: List[np.ndarray] = []
         subj_parts: List[np.ndarray] = []
@@ -370,8 +342,7 @@ class InterestManager:
             sq = _pair_squared_distances(px[block], py[block], pz[block],
                                          qx[sg], qy[sg], qz[sg])
             keep = (sq <= sq_limit) \
-                & (block[None, :] != subject_self[sg][:, None]) \
-                & ~is_always[block][None, :]
+                & (block[None, :] != subject_self[sg][:, None])
             si, ci = np.nonzero(keep)
             cand_parts.append(block[ci])
             subj_parts.append(sg[si])
@@ -492,18 +463,14 @@ class InterestManager:
                  for sub in subscriber_ids), dtype=np.int64, count=s)
         subject_points = np.where((self_slots >= 0)[:, None],
                                   world.positions_arr[self_slots], 0.0)
-        always_slots = np.asarray(sorted(
-            world.slot_of(e) for e in self.config.always_relevant
-            if e in world), dtype=np.int64)
         ranks = world.lexicographic_ranks()
         stale = self._stale_rows(world, last, prev, self_slots,
-                                 subject_points, always_slots, compact_of,
-                                 ranks)
+                                 subject_points, compact_of, ranks)
         fresh = np.flatnonzero(stale)
         fresh_offsets, fresh_flat = self.relevant_indices_batch(
             points, subject_points[fresh],
             np.where(self_slots >= 0, compact_of[self_slots], -1)[fresh],
-            compact_of[always_slots], ranks)
+            ranks)
         pairs = self.last_pairs_scanned if len(fresh) == s \
             else self.pairs_scanned(points, subject_points)
         fresh_counts = np.diff(fresh_offsets)
@@ -527,15 +494,15 @@ class InterestManager:
             concat_ranges(starts, counts)]
         self._last = _LastRows(
             world, self.config, world.membership_version,
-            list(subscriber_ids), self_slots, subject_points, always_slots,
-            offsets, flat_slots, kth, world.version, len(world.removal_log),
+            list(subscriber_ids), self_slots, subject_points, offsets,
+            flat_slots, kth, world.version, len(world.removal_log),
             world.positions_arr.copy(), compact_of >= 0)
         return offsets, flat_slots, pairs
 
     def _stale_rows(self, world: WorldState, last: Optional[_LastRows],
                     prev: np.ndarray, self_slots: np.ndarray,
-                    subject_points: np.ndarray, always_slots: np.ndarray,
-                    compact_of: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+                    subject_points: np.ndarray, compact_of: np.ndarray,
+                    ranks: np.ndarray) -> np.ndarray:
         """Which subjects' rows from ``last`` may differ from a fresh query.
 
         A slot *changed* if written since ``last`` (stamp newer than
@@ -549,8 +516,7 @@ class InterestManager:
         27-cell block of a changed slot's old or new cell are tested, with
         the query's own distance arithmetic.
         """
-        if last is None or last.config != self.config or not len(ranks) \
-                or not np.array_equal(last.always_slots, always_slots):
+        if last is None or last.config != self.config or not len(ranks):
             return np.ones(len(prev), dtype=bool)
         stale = prev < 0
         known = np.flatnonzero(~stale)
@@ -568,8 +534,7 @@ class InterestManager:
         renewed[had] = ~last.alive[changed[had]]
         renewed |= np.isin(changed, [slot for _id, slot
                                      in world.removal_log[last.log_len:]])
-        moved = (renewed | np.any(old_pos != new_pos, axis=1)) \
-            & ~np.isin(changed, always_slots)
+        moved = renewed | np.any(old_pos != new_pos, axis=1)
         if not moved.any():
             return stale
         changed, new_pos, old_pos = changed[moved], new_pos[moved], \
@@ -599,18 +564,15 @@ class InterestManager:
 
         unknown = np.unique(subj[last.kth[p] == -2])
         if len(unknown):
-            # A row's k-th member: its largest (distance, id rank) nearest
-            # (not always-relevant) member, if it holds max_entities of
-            # them, else -1.  Taken at the last call's positions, for
-            # which each row was exact; every member is alive unless the
-            # test below marks the row stale anyway.
+            # A row's k-th member: its largest (distance, id rank) member
+            # if it holds max_entities of them, else -1.  Taken at the last
+            # call's positions, for which each row was exact; every member
+            # is alive unless the test below marks the row stale anyway.
             k, q = self.config.max_entities, prev[unknown]
             counts = np.diff(last.offsets)[q]
             members = last.flat[concat_ranges(last.offsets[q], counts)]
-            row = np.repeat(np.arange(len(q)), counts)
-            nearest = ~np.isin(members, always_slots)
-            full = np.bincount(row[nearest], minlength=len(q)) == k
-            members = members[nearest & full[row]].reshape(-1, k)
+            full = counts == k
+            members = members[np.repeat(full, counts)].reshape(-1, k)
             dist = np.sqrt(_squared_distances(
                 last.positions[members.ravel()], np.repeat(
                     subject_points[unknown[full]], k, axis=0))).reshape(-1, k)
@@ -666,15 +628,12 @@ class InterestManager:
         subject_self = np.fromiter(
             (index.get(subject_id, -1) for subject_id in subject_ids),
             dtype=np.int64, count=len(subject_ids))
-        always_indices = np.asarray(sorted(
-            index[e] for e in self.config.always_relevant if e in index
-        ), dtype=np.int64)
         order = sorted(range(len(ids)), key=ids.__getitem__)
         id_ranks = np.empty(len(ids), dtype=np.int64)
         id_ranks[np.asarray(order, dtype=np.int64)] = np.arange(
             len(ids), dtype=np.int64)
         offsets, flat = self.relevant_indices_batch(
-            points, subject_points, subject_self, always_indices, id_ranks)
+            points, subject_points, subject_self, id_ranks)
         return {
             subject_id: {ids[j] for j in flat[offsets[i]:offsets[i + 1]]}
             for i, subject_id in enumerate(subject_ids)
@@ -694,7 +653,6 @@ class BroadcastInterest(InterestManager):
         points: np.ndarray,
         subject_points: np.ndarray,
         subject_self: np.ndarray,
-        always_indices: np.ndarray,
         id_ranks: np.ndarray,
     ) -> tuple:
         """Every entity row except subject i's own, for every subject i."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, KeysView, Optional
 
 import numpy as np
 
@@ -92,7 +92,6 @@ class SyncServer:
         interest: Optional[InterestManager] = None,
         cost_model: ServerCostModel = ServerCostModel(),
         keyframe_interval: int = 30,
-        metrics: Optional[MetricsRegistry] = None,
     ):
         if tick_rate_hz <= 0:
             raise ValueError("tick rate must be positive")
@@ -104,7 +103,7 @@ class SyncServer:
         self.world = WorldState()
         self._keyframe_interval = keyframe_interval
         self.encoder = BatchDeltaEncoder(keyframe_interval=keyframe_interval)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self._subscribers: Dict[str, Callable[[ServerSnapshot], None]] = {}
         #: Per-client snapshot decimation factor (>= 2): the client is
         #: served on 1 of every N ticks.  Safe by construction: a skipped
@@ -164,6 +163,11 @@ class SyncServer:
     @property
     def n_subscribers(self) -> int:
         return len(self._subscribers)
+
+    @property
+    def subscriber_ids(self) -> KeysView[str]:
+        """The subscribed client ids, in subscription order (read-only)."""
+        return self._subscribers.keys()
 
     # -- per-client adaptation knobs ---------------------------------------
 

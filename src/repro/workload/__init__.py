@@ -11,7 +11,6 @@ from repro.workload.arrival import (
     BurstyArrivals,
     ClassScheduleForecast,
     DiurnalClassLoad,
-    PoissonArrivals,
 )
 from repro.workload.behavior import BehaviorModel, BehaviorState
 from repro.workload.lecture import ActivityPhase, ActivityScript, standard_script
@@ -27,7 +26,6 @@ __all__ = [
     "ClassScheduleForecast",
     "DiurnalClassLoad",
     "MotionTrace",
-    "PoissonArrivals",
     "RemotePopulation",
     "SeatedMotion",
     "WalkingMotion",

@@ -8,29 +8,6 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 
-class PoissonArrivals:  # replint: ignore[ARCH003] -- test-only, queued for deletion
-    """Memoryless arrivals at ``rate_per_s``."""
-
-    def __init__(self, rng: np.random.Generator, rate_per_s: float):
-        if rate_per_s <= 0:
-            raise ValueError("rate must be positive")
-        self.rng = rng
-        self.rate = float(rate_per_s)
-
-    def next_gap(self) -> float:
-        """Seconds until the next arrival."""
-        return float(self.rng.exponential(1.0 / self.rate))
-
-    def times_until(self, horizon: float) -> List[float]:
-        """All arrival instants in [0, horizon)."""
-        times: List[float] = []
-        t = self.next_gap()
-        while t < horizon:
-            times.append(t)
-            t += self.next_gap()
-        return times
-
-
 class BurstyArrivals:
     """Start-of-class join rush followed by stragglers.
 

@@ -1,11 +1,10 @@
 """Unit tests for summary statistics."""
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.metrics import Summary, bootstrap_ci, summarize
+from repro.metrics import Summary, summarize
 
 
 def test_summarize_basic():
@@ -42,25 +41,3 @@ def test_summary_ordering_invariants(values):
     assert summary.p95 <= summary.p99 + tol
     assert summary.p99 <= summary.maximum + tol
     assert summary.minimum - tol <= summary.mean <= summary.maximum + tol
-
-
-def test_bootstrap_ci_brackets_mean():
-    rng = np.random.default_rng(42)
-    sample = rng.normal(10.0, 2.0, size=500)
-    low, high = bootstrap_ci(sample, rng=np.random.default_rng(1))
-    assert low < 10.0 < high
-    assert high - low < 1.0  # tight for n=500
-
-
-def test_bootstrap_ci_deterministic_with_rng():
-    sample = [1.0, 2.0, 3.0, 4.0]
-    a = bootstrap_ci(sample, rng=np.random.default_rng(7))
-    b = bootstrap_ci(sample, rng=np.random.default_rng(7))
-    assert a == b
-
-
-def test_bootstrap_ci_validation():
-    with pytest.raises(ValueError):
-        bootstrap_ci([], rng=np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        bootstrap_ci([1.0], confidence=1.5)

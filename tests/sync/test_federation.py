@@ -267,6 +267,48 @@ def test_delivered_digest_holds_send_time_positions():
         np.testing.assert_array_equal(delivered[user], position)
 
 
+def test_digest_holds_the_clients_homed_on_the_site():
+    """The digest is built from the shard's subscribers; after a voluntary
+    move and after a crash failover its keys are still exactly the
+    clients whose home is that site."""
+    sim = Simulator(seed=13)
+    plan, users = _virtual_plan(6, 3)
+    service = ShardedSyncService(
+        sim, plan, interest_config=InterestConfig(radius_m=50.0,
+                                                  max_entities=16))
+    for index, user in enumerate(users):
+        federated = service.add_client(user)
+        federated.client.local_pose = StationaryMotion(
+            Pose(position=np.array([float(index), 0.0, 1.2])))
+        federated.client.run(3.0)
+    service.start(3.0)
+    handoff = ShardHandoffController(sim, service, detection_timeout=0.3,
+                                     check_period=0.05)
+    handoff.run(3.0)
+    checked = []
+
+    def check(label):
+        for site, shard in service.shards.items():
+            if shard.crashed:
+                continue
+            homed = {user for user, federated in service.clients.items()
+                     if federated.home == site}
+            assert set(service.home_subscriber_digest(site)) == homed, \
+                (label, site)
+        checked.append(label)
+
+    sim.call_at(0.8, lambda: service.move_user("u00", "s1"))
+    sim.call_at(1.0, lambda: check("moved"))
+    FaultInjector(sim).server_crash(
+        service.shards["s2"], ServerCrashSchedule([(1.5, None)]))
+    sim.run()
+    assert service.clients["u00"].home == "s1"
+    assert all(federated.home != "s2"
+               for federated in service.clients.values())
+    check("failed over")
+    assert checked == ["moved", "failed over"]
+
+
 def test_rebalance_excludes_sites_and_moves_clients():
     duration = 6.0
     population = sample_worldwide(8, np.random.default_rng(3))
@@ -351,12 +393,8 @@ def _reference_relevant_slots(config, ids, slots, points, subjects):
         return set()
     ranks = np.empty(len(ids), dtype=np.int64)
     ranks[np.argsort(np.asarray(ids, dtype=object))] = np.arange(len(ids))
-    always = np.asarray([row for row, entity_id in enumerate(ids)
-                         if entity_id in config.always_relevant],
-                        dtype=np.int64)
     _offsets, flat = InterestManager(config).relevant_indices_batch(
-        points, subjects, np.full(len(subjects), -1, dtype=np.int64),
-        always, ranks)
+        points, subjects, np.full(len(subjects), -1, dtype=np.int64), ranks)
     return set(slots[np.unique(flat)].tolist())
 
 

@@ -29,17 +29,6 @@ def test_interest_nearest_k_cap():
     assert relevant == {"p1", "p2", "p3"}
 
 
-def test_interest_always_relevant_bypasses_cap():
-    config = InterestConfig(
-        radius_m=2.0, max_entities=1, always_relevant=frozenset({"p9"})
-    )
-    manager = InterestManager(config)
-    positions = positions_grid(10)
-    relevant = manager.relevant("p0", positions["p0"], positions)
-    assert "p9" in relevant          # far away but always relevant
-    assert len(relevant) == 2        # p9 + nearest one
-
-
 def test_interest_excludes_subject():
     manager = InterestManager()
     positions = positions_grid(3, spacing=0.1)

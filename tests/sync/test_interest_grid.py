@@ -115,8 +115,7 @@ def test_out_of_range_subject_cell_raises_instead_of_aliasing():
             cluster = np.array([[5e18, 0.5, 0.5], [5e18 + 1024.0, 0.5, 0.5]])
             with pytest.raises(ValueError, match="2\\^62"):
                 manager.relevant_indices_batch(
-                    cluster, cluster, np.array([0, 1]),
-                    np.empty(0, dtype=np.int64), np.arange(2))
+                    cluster, cluster, np.array([0, 1]), np.arange(2))
             with pytest.raises(ValueError, match="2\\^62"):
                 manager.pairs_scanned(cluster, cluster)
 
@@ -135,8 +134,7 @@ def test_unindexable_position_raises_for_query_count_and_reuse(far):
             manager = InterestManager(config)
             with pytest.raises(ValueError, match="finite"):
                 manager.relevant_indices_batch(
-                    points, points[:2], np.array([0, 1]),
-                    np.empty(0, dtype=np.int64), np.arange(3))
+                    points, points[:2], np.array([0, 1]), np.arange(3))
             with pytest.raises(ValueError, match="finite"):
                 manager.pairs_scanned(points, points[:2])
             # The tick's reuse: "c" moves out to ``far`` while the subjects
@@ -168,7 +166,7 @@ def test_broadcast_batch_matches_single_subject():
     subject_self = np.array([0, 3, -1], dtype=np.int64)
     offsets, flat = baseline.relevant_indices_batch(
         points, np.zeros((3, 3)), subject_self,
-        np.empty(0, dtype=np.int64), np.arange(6, dtype=np.int64))
+        np.arange(6, dtype=np.int64))
     rows = [flat[offsets[i]:offsets[i + 1]].tolist() for i in range(3)]
     assert rows == [[1, 2, 3, 4, 5], [0, 1, 2, 4, 5], [0, 1, 2, 3, 4, 5]]
     assert baseline.last_pairs_scanned == 3 * 6
@@ -186,12 +184,7 @@ def _random_scenario(rng):
     if n >= 2 and rng.random() < 0.3:
         # Coincident entities exercise distance-tie breaking by id.
         positions[f"p{n - 1}"] = positions["p0"].copy()
-    always = frozenset(
-        f"p{i}" for i in range(n) if rng.random() < 0.1
-    )
-    if rng.random() < 0.2:
-        always = always | frozenset({"ghost-not-in-world"})
-    config = InterestConfig(radius, cap, always)
+    config = InterestConfig(radius, cap)
     subjects = dict(positions)
     if rng.random() < 0.5:
         subjects["spectator"] = rng.uniform(-scale, scale, size=3)
@@ -231,14 +224,13 @@ def test_dense_and_indexed_paths_scan_and_answer_alike():
         subject_points = rng.uniform(-5.0, 5.0, size=(s, 3))
         subject_self = np.where(rng.random(s) < 0.5,
                                 rng.integers(0, n, size=s), -1)
-        always = np.flatnonzero(rng.random(n) < 0.1)
         ranks = rng.permutation(n)
         answers = {}
         for path in PATHS:
             with _on_path(path):
                 manager = InterestManager(config)
                 offsets, flat = manager.relevant_indices_batch(
-                    points, subject_points, subject_self, always, ranks)
+                    points, subject_points, subject_self, ranks)
                 rows = [sorted(flat[offsets[i]:offsets[i + 1]].tolist())
                         for i in range(s)]
                 pairs = manager.pairs_scanned(points, subject_points)
@@ -270,8 +262,7 @@ def test_dense_threshold_selects_the_path(monkeypatch):
         points = np.random.default_rng(n).uniform(-9.0, 9.0, size=(n, 3))
         builds.clear()
         manager.relevant_indices_batch(
-            points, subject, np.array([-1]), np.empty(0, dtype=np.int64),
-            np.arange(n))
+            points, subject, np.array([-1]), np.arange(n))
         assert builds == built, n
         builds.clear()
         assert manager.pairs_scanned(points, subject) \
@@ -302,8 +293,7 @@ def test_single_subject_wrapper_matches_naive():
 def test_grid_matches_naive_hypothesis(n, radius, cap, seed):
     rng = np.random.default_rng(seed)
     positions = {f"p{i}": rng.uniform(-15, 15, size=3) for i in range(n)}
-    always = frozenset({"p0"}) if n > 2 else frozenset()
-    config = InterestConfig(radius, cap, always)
+    config = InterestConfig(radius, cap)
     points = np.array(list(positions.values())).reshape(-1, 3)
     for path in PATHS:
         with _on_path(path):

@@ -38,15 +38,10 @@ def _fresh(manager, world, subscriber_ids):
         for sub in subscriber_ids], dtype=np.int64)
     subject_points = np.zeros((len(subscriber_ids), 3))
     subject_points[self_rows >= 0] = points[self_rows[self_rows >= 0]]
-    always_rows = np.asarray(sorted(
-        compact_of[world.slot_of(e)]
-        for e in manager.config.always_relevant if e in world),
-        dtype=np.int64)
     fresh = type(manager)()
     fresh.config = manager.config
     offsets, flat = fresh.relevant_indices_batch(
-        points, subject_points, self_rows, always_rows,
-        world.lexicographic_ranks())
+        points, subject_points, self_rows, world.lexicographic_ranks())
     rows = [set(slots[flat[offsets[i]:offsets[i + 1]]].tolist())
             for i in range(len(subscriber_ids))]
     return rows, fresh.last_pairs_scanned
@@ -91,23 +86,19 @@ def _state(entity_id, t, position, seq, epoch=0):
 @given(
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     lattice=st.booleans(),
-    always=st.booleans(),
     move_p=st.sampled_from([0.05, 0.3]),
 )
-def test_reused_rows_equal_a_fresh_query_every_tick(seed, lattice, always,
-                                                   move_p):
+def test_reused_rows_equal_a_fresh_query_every_tick(seed, lattice, move_p):
     """Mostly-still and churning worlds (lattice positions make exact
     distance ties common), joins and leaves with slot reuse, avatars
     removed under a subscriber that stays and a spectator that gains one,
-    writes applied outside the tick, decimation, crash/restart,
-    always-relevant churn and quiet ticks: after every tick each row
-    equals a fresh query's, and the tick's ``interest_pairs_scanned``
-    increment is the fresh count."""
+    writes applied outside the tick, decimation, crash/restart and quiet
+    ticks: after every tick each row equals a fresh query's, and the
+    tick's ``interest_pairs_scanned`` increment is the fresh count."""
     rng = np.random.default_rng(seed)
     config = InterestConfig(
         radius_m=float(rng.integers(2, 6)),
-        max_entities=int(rng.integers(1, 7)),
-        always_relevant=frozenset({"e0"} if always else ()))
+        max_entities=int(rng.integers(1, 7)))
     server = SyncServer(Simulator(seed=seed), interest=InterestManager(config))
     checked = Checked(server.interest)
     n = int(rng.integers(6, 24))

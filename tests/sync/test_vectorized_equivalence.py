@@ -150,7 +150,6 @@ def test_interest_csr_matches_naive_oracle(seed):
     config = InterestConfig(
         radius_m=float(rng.integers(2, 7)),
         max_entities=int(rng.integers(1, 5)),
-        always_relevant=frozenset({"e0"} if rng.random() < 0.5 else ()),
     )
     manager = InterestManager(config)
     world = WorldState()
@@ -170,12 +169,8 @@ def test_interest_csr_matches_naive_oracle(seed):
         world.apply(AvatarState("e0", 2.0, Pose(), seq=2))
     ids, slots, points = world.compact()
     subject_self = np.arange(len(ids), dtype=np.int64)
-    always_rows = np.asarray(sorted(
-        i for i, entity_id in enumerate(ids)
-        if entity_id in config.always_relevant), dtype=np.int64)
     offsets, flat = manager.relevant_indices_batch(
-        points, points, subject_self, always_rows,
-        world.lexicographic_ranks())
+        points, points, subject_self, world.lexicographic_ranks())
     positions = world.positions()
     for i, subject_id in enumerate(ids):
         got = {ids[j] for j in flat[offsets[i]:offsets[i + 1]]}

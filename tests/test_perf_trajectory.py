@@ -4,9 +4,10 @@ Each change appends one record: its parent commit, the host, the
 command, the five workloads' end-to-end medians and operation counts,
 and the replay fingerprints at seeds 42 and 7.  Records from
 ``RAW_WALL_FROM_PR`` on also carry each workload's median unscaled
-repetition time, ``raw_wall_s``, next to the scaled medians.  A malformed or
-out-of-order append fails here rather than when a later change tries to
-read the trend.
+repetition time, ``raw_wall_s``, next to the scaled medians.  A record's
+fingerprints equal the previous record's unless it says why they moved in
+a non-empty ``fingerprints_changed`` string.  A malformed or out-of-order
+append fails here rather than when a later change tries to read the trend.
 """
 
 import json
@@ -66,3 +67,16 @@ def test_records_carry_raw_wall_time():
         assert set(raw) == set(WORKLOADS), record["pr"]
         assert all(isinstance(value, (int, float)) and math.isfinite(value)
                    and value > 0 for value in raw.values()), record["pr"]
+
+
+def test_fingerprints_replay_unless_the_record_says_why():
+    """A change that keeps the simulated outputs keeps every workload's
+    fingerprint at both seeds; one that moves them records why."""
+    records = _records()
+    for previous, record in zip(records, records[1:]):
+        reason = record.get("fingerprints_changed")
+        if reason is not None:
+            assert isinstance(reason, str) and reason.strip(), record["pr"]
+            continue
+        assert record["fingerprints"] == previous["fingerprints"], \
+            record["pr"]

@@ -96,14 +96,13 @@ def test_interest_set_bounds(n, radius, cap, seed):
     positions = {
         f"p{i}": rng.uniform(-20, 20, size=3) for i in range(n)
     }
-    always = frozenset({"p0"}) if n > 1 else frozenset()
-    manager = InterestManager(InterestConfig(radius, cap, always))
+    manager = InterestManager(InterestConfig(radius, cap))
     for subject in positions:
         relevant = manager.relevant(subject, positions[subject], positions)
         assert subject not in relevant
         assert relevant <= set(positions)
-        assert len(relevant) <= cap + len(always)
-        for entity in relevant - always:
+        assert len(relevant) <= cap
+        for entity in relevant:
             distance = np.linalg.norm(positions[entity] - positions[subject])
             assert distance <= radius + 1e-9
 

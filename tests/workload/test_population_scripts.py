@@ -6,7 +6,6 @@ import pytest
 from repro.workload.arrival import (
     BurstyArrivals,
     ClassScheduleForecast,
-    PoissonArrivals,
 )
 from repro.workload.lecture import (
     ActivityPhase,
@@ -48,18 +47,6 @@ def test_sample_worldwide_validation():
         sample_worldwide(-1, rng)
     with pytest.raises(ValueError):
         sample_worldwide(5, rng, weights={"london": -1.0})
-
-
-def test_poisson_arrivals_rate():
-    arrivals = PoissonArrivals(np.random.default_rng(3), rate_per_s=2.0)
-    times = arrivals.times_until(1000.0)
-    assert 1700 < len(times) < 2300
-    assert all(t1 < t2 for t1, t2 in zip(times, times[1:]))
-
-
-def test_poisson_validation():
-    with pytest.raises(ValueError):
-        PoissonArrivals(np.random.default_rng(0), rate_per_s=0.0)
 
 
 def test_bursty_arrivals_shape():
