@@ -1,4 +1,4 @@
-"""Digital avatars: skeletons, state, interpolation, prediction, LOD.
+"""Digital avatars: state, interpolation, prediction, LOD.
 
 The edge server "generates the avatar and their interaction traces"
 (Figure 3); the receiving side interpolates between snapshots, predicts
@@ -7,22 +7,18 @@ retargets poses into vacant seats.
 """
 
 from repro.avatar.interpolation import SnapshotBuffer
-from repro.avatar.lod import LOD_LEVELS, LodLevel, select_lod, select_lod_optimal
+from repro.avatar.lod import LOD_LEVELS, LodLevel, select_lod
 from repro.avatar.prediction import DeadReckoner
 from repro.avatar.retarget import SeatTransform, retarget_state
-from repro.avatar.skeleton import HUMANOID_JOINTS, Skeleton
 from repro.avatar.state import AvatarState
 
 __all__ = [
     "AvatarState",
     "DeadReckoner",
-    "HUMANOID_JOINTS",
     "LOD_LEVELS",
     "LodLevel",
     "SeatTransform",
-    "Skeleton",
     "SnapshotBuffer",
     "retarget_state",
     "select_lod",
-    "select_lod_optimal",
 ]

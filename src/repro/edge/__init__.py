@@ -7,13 +7,11 @@ seats with pose correction.
 """
 
 from repro.edge.aggregator import SensorAggregator
-from repro.edge.downlink import SceneDownlink
 from repro.edge.seats import Seat, SeatMap, assign_seats_first_fit, assign_seats_hungarian
 from repro.edge.server import EdgeServer
 
 __all__ = [
     "EdgeServer",
-    "SceneDownlink",
     "Seat",
     "SeatMap",
     "SensorAggregator",

@@ -41,14 +41,6 @@ class InputModality:
         """Throughput after re-entering erroneous words."""
         return self.words_per_minute * (1.0 - self.error_rate)
 
-    def time_for_words(self, n_words: int) -> float:
-        """Expected seconds to enter ``n_words`` (excluding variance)."""
-        if n_words < 0:
-            raise ValueError("word count must be >= 0")
-        if n_words == 0:
-            return self.activation_s
-        return self.activation_s + n_words / self.effective_wpm * 60.0
-
 
 #: The modality set the C1b experiment compares.
 INPUT_MODALITIES: Dict[str, InputModality] = {

@@ -1,4 +1,4 @@
-"""Real-time media: video codec model, streaming, jitter buffer, audio.
+"""Real-time media: video codec model, streaming, jitter buffer, spatial audio.
 
 Section 3.3: "many courses may rely on video transmission ... video frames
 need to be transmitted in real-time ... Maximizing video quality while
@@ -6,15 +6,13 @@ minimizing latency to an imperceptible level has been a significant
 research challenge", with joint source coding + application-level FEC
 (Nebula) called out as the promising direction.  This package provides the
 rate-distortion codec model, the frame/packet pipeline with three recovery
-strategies (none / ARQ / FEC), the jitter buffer, and audio lip-sync
-accounting used by experiment C3d.
+strategies (none / ARQ / FEC) and the jitter buffer that experiment C3d
+runs, and the spatial-audio scene behind experiment F1b.
 """
 
 from repro.media.abr import AbrConfig, AbrController
-from repro.media.audio import AudioStream, lip_sync_offset
 from repro.media.codec import Frame, FrameType, VideoCodecModel
 from repro.media.jitterbuffer import JitterBuffer
-from repro.media.slides import SlideDeckStream, WhiteboardStream
 from repro.media.spatial import SpatialAudioScene
 from repro.media.stream import StreamReport, VideoStreamSession
 from repro.media.video360 import TiledSphere, Viewport360Config
@@ -22,17 +20,13 @@ from repro.media.video360 import TiledSphere, Viewport360Config
 __all__ = [
     "AbrConfig",
     "AbrController",
-    "AudioStream",
     "Frame",
     "FrameType",
     "JitterBuffer",
-    "SlideDeckStream",
     "SpatialAudioScene",
     "StreamReport",
     "TiledSphere",
     "VideoCodecModel",
     "Viewport360Config",
     "VideoStreamSession",
-    "WhiteboardStream",
-    "lip_sync_offset",
 ]

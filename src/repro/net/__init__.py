@@ -11,7 +11,6 @@ Gilbert–Elliott burst loss, latency-spike windows and server
 crash/restart schedules — for the robustness experiments.
 """
 
-from repro.net.bandwidth import TokenBucket
 from repro.net.faults import (
     FaultEvent,
     FaultInjector,
@@ -52,7 +51,6 @@ __all__ = [
     "PathChannel",
     "ReliableChannel",
     "Site",
-    "TokenBucket",
     "Topology",
     "WanLatencyModel",
     "WifiNetwork",

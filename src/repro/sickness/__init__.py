@@ -12,7 +12,6 @@ capability.
 
 from repro.sickness.conflict import ExposureConfig, SensoryConflictModel
 from repro.sickness.fuzzy import FuzzyRule, FuzzySystem, FuzzyVariable, TriangularMF
-from repro.sickness.longitudinal import SemesterSimulation
 from repro.sickness.mitigation import FovVignette, SpeedProtector
 from repro.sickness.ssq import SSQ_SYMPTOMS, SsqResponse, score_ssq
 from repro.sickness.susceptibility import UserTraits, susceptibility_system
@@ -24,7 +23,6 @@ __all__ = [
     "FuzzySystem",
     "FuzzyVariable",
     "SSQ_SYMPTOMS",
-    "SemesterSimulation",
     "SensoryConflictModel",
     "SpeedProtector",
     "SsqResponse",

@@ -5,13 +5,12 @@ related to the synchronization of a large number of entities within a
 single digital space ... users' actions need to be synchronized in
 real-time to enable seamless interaction."  This package provides the
 tick-based authoritative server, delta encoding, interest management
-over one sorted cell index, client-side prediction, and the consistency
-metrics the scaling experiments (C3a) measure.
+over one sorted cell index, client-side prediction, and the federation
+of regional shards.
 """
 
 from repro.sync.client import SyncClient
-from repro.sync.consistency import ConsistencyProbe
-from repro.sync.delta import BatchDeltaEncoder, DeltaEncoder, WorldState
+from repro.sync.delta import BatchDeltaEncoder, WorldState
 from repro.sync.federation import (
     FederatedClient,
     ShardDelta,
@@ -39,8 +38,6 @@ __all__ = [
     "MigratableClient",
     "MoveInput",
     "PredictedAvatar",
-    "ConsistencyProbe",
-    "DeltaEncoder",
     "InterestConfig",
     "InterestManager",
     "ServerCostModel",

@@ -8,7 +8,7 @@ small over short horizons, growing with the horizon.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -120,13 +120,3 @@ class WalkingMotion(MotionTrace):
         # Numeric edge (distance == path_length): end of last segment.
         _start, _length, _a, b = self._segments[-1]
         return Pose(b, yaw_quat(0.0))
-
-
-class StationaryMotion(MotionTrace):  # replint: ignore[ARCH003] -- motionless-avatar test fixture
-    """A fixed pose — podiums, projectors, test fixtures."""
-
-    def __init__(self, pose: Optional[Pose] = None):
-        self.pose = pose if pose is not None else Pose()
-
-    def __call__(self, t: float) -> Pose:
-        return self.pose.copy()

@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 from repro.avatar.lod import (
     LOD_LEVELS,
     select_lod,
-    select_lod_optimal,
     total_quality,
     total_triangles,
 )
+from tests.oracles.lod import select_lod_optimal
 
 avatar_lists = st.lists(
     st.tuples(

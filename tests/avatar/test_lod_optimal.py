@@ -6,9 +6,9 @@ import pytest
 from repro.avatar.lod import (
     LOD_LEVELS,
     select_lod,
-    select_lod_optimal,
     total_triangles,
 )
+from tests.oracles.lod import select_lod_optimal
 
 
 def weighted_quality(avatars, assignment):

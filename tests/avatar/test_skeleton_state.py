@@ -1,80 +1,24 @@
-"""Unit tests for the skeleton and avatar state."""
+"""Unit tests for the avatar state."""
 
 import numpy as np
 import pytest
 
-from repro.avatar.skeleton import HUMANOID_JOINTS, Skeleton
 from repro.avatar.state import AvatarState
 from repro.sensing.expression import N_CHANNELS
-from repro.sensing.pose import Pose, quat_from_axis_angle, yaw_quat
+from repro.sensing.pose import IDENTITY_QUAT, Pose
 from repro.sensing.quantize import QuantizationConfig
-
-
-def test_skeleton_has_expected_structure():
-    skeleton = Skeleton()
-    assert skeleton.n_joints == len(HUMANOID_JOINTS)
-    assert skeleton.parents[0] == -1  # hips is the root
-    assert skeleton.index["head"] > skeleton.index["neck"]
-
-
-def test_fk_identity_stacks_offsets():
-    skeleton = Skeleton()
-    positions = skeleton.world_positions(np.zeros(3), np.array([1.0, 0, 0, 0]))
-    head = skeleton.joint_position("head", positions)
-    # hips 0.95 + spine 0.2 + chest 0.2 + neck 0.15 + head 0.12 = 1.62 m
-    assert head[2] == pytest.approx(1.62)
-    assert head[0] == pytest.approx(0.0)
-
-
-def test_fk_root_translation_moves_everything():
-    skeleton = Skeleton()
-    base = skeleton.world_positions(np.zeros(3), np.array([1.0, 0, 0, 0]))
-    moved = skeleton.world_positions(np.array([5.0, 0, 0]), np.array([1.0, 0, 0, 0]))
-    assert np.allclose(moved - base, [5.0, 0.0, 0.0])
-
-
-def test_fk_root_yaw_rotates_limbs():
-    skeleton = Skeleton()
-    turned = skeleton.world_positions(np.zeros(3), yaw_quat(np.pi / 2))
-    l_wrist = skeleton.joint_position("l_wrist", turned)
-    # Left arm extends -x at rest; after +90° yaw it points -y.
-    assert l_wrist[1] < -0.5
-    assert abs(l_wrist[0]) < 1e-9
-
-
-def test_fk_joint_rotation_propagates_down_chain():
-    skeleton = Skeleton()
-    rotations = skeleton.identity_rotations()
-    # Bend the left elbow 90 degrees about z.
-    rotations[skeleton.index["l_elbow"]] = quat_from_axis_angle((0, 0, 1), np.pi / 2)
-    bent = skeleton.world_positions(np.zeros(3), np.array([1.0, 0, 0, 0]), rotations)
-    straight = skeleton.world_positions(np.zeros(3), np.array([1.0, 0, 0, 0]))
-    wrist_bent = skeleton.joint_position("l_wrist", bent)
-    wrist_straight = skeleton.joint_position("l_wrist", straight)
-    assert not np.allclose(wrist_bent, wrist_straight)
-    # Elbow itself does not move.
-    assert np.allclose(
-        skeleton.joint_position("l_elbow", bent),
-        skeleton.joint_position("l_elbow", straight),
-    )
-
-
-def test_fk_rotation_shape_validation():
-    skeleton = Skeleton()
-    with pytest.raises(ValueError):
-        skeleton.world_positions(np.zeros(3), np.array([1.0, 0, 0, 0]), np.zeros((3, 4)))
 
 
 def test_avatar_state_wire_bytes_scales_with_content():
     pose = Pose()
     bare = AvatarState("p1", 0.0, pose).wire_bytes()
-    skeleton = Skeleton()
+    rotations = np.tile(IDENTITY_QUAT, (17, 1))  # a 17-joint humanoid
     with_joints = AvatarState(
-        "p1", 0.0, pose, joint_rotations=skeleton.identity_rotations()
+        "p1", 0.0, pose, joint_rotations=rotations
     ).wire_bytes()
     with_all = AvatarState(
         "p1", 0.0, pose,
-        joint_rotations=skeleton.identity_rotations(),
+        joint_rotations=rotations,
         expression=np.zeros(N_CHANNELS),
     ).wire_bytes()
     assert bare < with_joints < with_all

@@ -24,7 +24,7 @@ from repro.sync.federation import ShardedSyncService
 from repro.sync.interest import InterestConfig
 from repro.sync.server import ServerCostModel
 from repro.workload.arrival import ClassScheduleForecast
-from repro.workload.traces import StationaryMotion
+from tests.oracles.traces import StationaryMotion
 
 pytestmark = pytest.mark.autoscale
 

@@ -1,4 +1,4 @@
-"""Tests for assessment (feature i) and presentations (feature ii)."""
+"""Tests for assessment (feature i)."""
 
 import numpy as np
 import pytest
@@ -9,13 +9,6 @@ from repro.core.assessment import (
     QuizResult,
     RetentionModel,
 )
-from repro.core.presentation import (
-    InteractivePresentation,
-    SlideKind,
-    standard_deck,
-)
-from repro.hci.input import INPUT_MODALITIES
-from repro.simkit import Simulator
 
 
 def quiz_items(n=10, spread=2.0):
@@ -103,79 +96,3 @@ def test_retention_validation():
         model.retention(1.5, 1.0, True)
     with pytest.raises(ValueError):
         model.retention(0.5, -1.0, True)
-
-
-def test_standard_deck_structure():
-    deck = standard_deck(n_slides=12, poll_every=4, artifact_every=6)
-    assert len(deck) == 12
-    kinds = [slide.kind for slide in deck]
-    assert kinds[3] is SlideKind.POLL
-    assert kinds[5] is SlideKind.ARTIFACT_3D
-    assert kinds[0] is SlideKind.PLAIN
-    with pytest.raises(ValueError):
-        standard_deck(0)
-
-
-def test_presentation_runs_and_measures_latency():
-    sim = Simulator(seed=4)
-
-    def send(size, on_done):
-        sim.call_later(size * 8 / 100e6, on_done)  # 100 Mbps path
-
-    deck = standard_deck(n_slides=8, poll_every=4, artifact_every=0)
-    audience = {f"s{i}": 0.9 for i in range(20)}
-    presentation = InteractivePresentation(sim, send, deck, audience)
-    presentation.run()
-    sim.run()
-    assert presentation.slides_shown == 8
-    assert len(presentation.polls) == 2
-    assert presentation.slide_latency.summary().maximum < 0.1
-    assert 0.0 < presentation.mean_participation() <= 1.0
-
-
-def test_presentation_attention_drives_participation():
-    def participation(attention):
-        sim = Simulator(seed=5)
-        deck = standard_deck(n_slides=8, poll_every=2, artifact_every=0)
-        audience = {f"s{i}": attention for i in range(30)}
-        presentation = InteractivePresentation(
-            sim, lambda size, done: sim.call_later(0.01, done), deck, audience
-        )
-        presentation.run()
-        sim.run()
-        return presentation.mean_participation()
-
-    assert participation(0.9) > participation(0.3) + 0.2
-
-
-def test_presentation_slow_inputs_cut_participation():
-    def participation(modality_name):
-        sim = Simulator(seed=6)
-        deck = standard_deck(n_slides=4, poll_every=2, artifact_every=0)
-        audience = {f"s{i}": 1.0 for i in range(30)}
-        presentation = InteractivePresentation(
-            sim, lambda size, done: sim.call_later(0.01, done), deck, audience,
-            input_modality=INPUT_MODALITIES[modality_name],
-            poll_window_s=20.0,
-        )
-        presentation.run()
-        sim.run()
-        return presentation.mean_participation()
-
-    # Everyone answers with a keyboard in 20 s; mid-air gestures miss some.
-    assert participation("physical_keyboard") >= participation("hand_gesture")
-
-
-def test_presentation_validation():
-    sim = Simulator()
-    send = lambda size, done: None
-    with pytest.raises(ValueError):
-        InteractivePresentation(sim, send, [], {"a": 1.0})
-    with pytest.raises(ValueError):
-        InteractivePresentation(sim, send, standard_deck(2), {})
-    with pytest.raises(ValueError):
-        InteractivePresentation(sim, send, standard_deck(2), {"a": 1.0},
-                                poll_window_s=0.0)
-    presentation = InteractivePresentation(sim, send, standard_deck(2), {"a": 1.0})
-    with pytest.raises(RuntimeError):
-        presentation.mean_participation()

@@ -1,11 +1,10 @@
-"""Unit tests for input modalities and multi-modal feedback."""
+"""Unit tests for input modalities."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from repro.hci.feedback import FeedbackCue, MultiModalFeedback, STANDARD_CUES
 from repro.hci.input import INPUT_MODALITIES, InputModality, TypingSession
 from repro.obs.span import SpanTracer
 
@@ -25,14 +24,6 @@ def test_headset_inputs_slower_than_keyboard():
 def test_effective_wpm_accounts_for_errors():
     modality = InputModality("x", 30.0, 5.0, 0.5, 0.0)
     assert modality.effective_wpm == pytest.approx(15.0)
-
-
-def test_time_for_words():
-    modality = InputModality("x", 60.0, 0.0, 0.0, 2.0)
-    assert modality.time_for_words(0) == 2.0
-    assert modality.time_for_words(60) == pytest.approx(62.0)
-    with pytest.raises(ValueError):
-        modality.time_for_words(-1)
 
 
 def test_modality_validation():
@@ -76,46 +67,3 @@ def test_typing_session_validation():
         _ = session.achieved_wpm
     with pytest.raises(ValueError):
         session.enter_words(-1)
-
-
-def test_feedback_cue_effectiveness_shape():
-    cue = FeedbackCue("haptic", tolerance_ms=25.0, collapse_ms=150.0,
-                      presence_weight=0.25)
-    assert cue.effectiveness(10.0) == 1.0
-    assert cue.effectiveness(25.0) == 1.0
-    assert 0.0 < cue.effectiveness(80.0) < 1.0
-    assert cue.effectiveness(150.0) == 0.0
-    assert cue.effectiveness(500.0) == 0.0
-    with pytest.raises(ValueError):
-        cue.effectiveness(-1.0)
-
-
-def test_feedback_cue_validation():
-    with pytest.raises(ValueError):
-        FeedbackCue("x", tolerance_ms=100.0, collapse_ms=50.0, presence_weight=0.5)
-    with pytest.raises(ValueError):
-        FeedbackCue("x", tolerance_ms=10.0, collapse_ms=50.0, presence_weight=1.5)
-
-
-def test_multimodal_adding_haptics_helps():
-    """The paper: multi-modal cues maintain communication granularity."""
-    feedback = MultiModalFeedback()
-    visual_only = feedback.quality({"visual": 30.0})
-    with_haptics = feedback.quality({"visual": 30.0, "haptic": 10.0, "audio": 40.0})
-    assert with_haptics > visual_only
-
-
-def test_multimodal_haptics_most_latency_sensitive():
-    """Delayed haptic feedback 'damages user experiences' fastest."""
-    feedback = MultiModalFeedback()
-    timely = feedback.quality({"visual": 10.0, "audio": 10.0, "haptic": 10.0})
-    delayed = {"visual": 10.0, "audio": 10.0, "haptic": 100.0}
-    assert feedback.quality(delayed) < timely
-    haptic = next(c for c in STANDARD_CUES if c.name == "haptic")
-    visual = next(c for c in STANDARD_CUES if c.name == "visual")
-    assert haptic.effectiveness(100.0) < visual.effectiveness(100.0)
-
-
-def test_multimodal_validation():
-    with pytest.raises(ValueError):
-        MultiModalFeedback([])

@@ -1,11 +1,13 @@
 """Engine-level tests: pragmas, reports, CLI contract, and the CI gate.
 
-The last two tests are the acceptance criteria in executable form: the
-trees CI lints (``src benchmarks perf examples``) lint clean, and a seeded known-bad
+The last tests are the acceptance criteria in executable form: the
+trees CI lints (``src benchmarks perf examples``) lint clean, every
+ARCH003 pragma in ``src/`` is on a pinned list, and a seeded known-bad
 snippet fails the engine exactly the way the CI job would fail a PR
 that introduces it.
 """
 
+import ast
 import json
 import subprocess
 import sys
@@ -56,7 +58,6 @@ def test_relative_import_resolution_in_init_and_module():
 def test_alias_resolution():
     file = SourceFile("src/repro/metrics/x.py",
                       "import numpy as np\nfrom time import perf_counter\n")
-    import ast
     tree = ast.parse("np.random.default_rng")
     assert file.resolve(tree.body[0].value) == "numpy.random.default_rng"
     tree = ast.parse("perf_counter")
@@ -153,6 +154,60 @@ def test_repo_lints_clean():
     assert report.parse_errors == []
     assert [v.render() for v in report.violations] == []
     assert report.ok
+
+
+_QUEUED = "test-only, queued for deletion"
+
+#: Every ARCH003 pragma ``src/`` may carry: (module, name) -> reason.  Two
+#: are permanent API; the rest are queued to go with their modules.  A
+#: test oracle or fixture belongs in ``tests/oracles/``, never here.
+ARCH003_PRAGMAS = {
+    ("repro.lint.engine", "lint_sources"): "lint API for in-memory sources",
+    ("repro.obs.export", "report_json"):
+        "pinned by tests/golden/mtp_report.json",
+    ("repro.media.video360", "TiledSphere"): _QUEUED,
+    ("repro.media.video360", "Viewport360Config"): _QUEUED,
+    ("repro.media.video360", "streaming_bitrate"): _QUEUED,
+    ("repro.media.video360", "bandwidth_saving"): _QUEUED,
+    ("repro.media.video360", "blur_probability"): _QUEUED,
+    ("repro.net.fec", "BlockCode"): _QUEUED,
+    ("repro.net.fec", "FecEncoder"): _QUEUED,
+    ("repro.net.fec", "FecDecoder"): _QUEUED,
+    ("repro.content.collab", "Stroke"): _QUEUED,
+    ("repro.content.collab", "StrokeAdd"): _QUEUED,
+    ("repro.content.collab", "StrokeRemove"): _QUEUED,
+    ("repro.content.collab", "LabelSet"): _QUEUED,
+    ("repro.content.collab", "WhiteboardReplica"): _QUEUED,
+    ("repro.content.collab", "converged"): _QUEUED,
+    ("repro.media.abr", "AbrConfig"): _QUEUED,
+    ("repro.media.abr", "AbrController"): _QUEUED,
+}
+
+
+def test_src_arch003_pragmas_are_pinned():
+    """An ARCH003 pragma exempts a name from the test-only rule, so each
+    one in ``src/`` must sit on a top-level definition and be listed
+    above with its reason; the list may shrink, never grow silently."""
+    found = {}
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        rel_path = path.relative_to(REPO_ROOT).as_posix()
+        source = path.read_text()
+        lines = source.splitlines()
+        pragma_lines = [line for line, codes in parse_pragmas(source).items()
+                        if "ARCH003" in codes]
+        if not pragma_lines:
+            continue
+        definitions = {node.lineno: node.name
+                       for node in ast.parse(source).body
+                       if isinstance(node, (ast.FunctionDef,
+                                            ast.AsyncFunctionDef,
+                                            ast.ClassDef))}
+        for line in pragma_lines:
+            assert line in definitions, \
+                f"{rel_path}:{line}: ARCH003 pragma not on a top-level definition"
+            reason = lines[line - 1].partition("--")[2].strip()
+            found[(module_name_for(rel_path), definitions[line])] = reason
+    assert found == ARCH003_PRAGMAS
 
 
 KNOWN_BAD = '''\

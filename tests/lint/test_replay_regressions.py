@@ -105,7 +105,7 @@ def test_rebalance_exclude_tuple_is_sorted(monkeypatch):
     from repro.sync.federation import ShardedSyncService
     from repro.sync.interest import InterestConfig
     from repro.workload.population import sample_worldwide
-    from repro.workload.traces import StationaryMotion
+    from tests.oracles.traces import StationaryMotion
 
     population = sample_worldwide(8, np.random.default_rng(3))
     sim = Simulator(seed=8)

@@ -1,8 +1,7 @@
-"""Unit tests for the WiFi cell and token bucket."""
+"""Unit tests for the WiFi cell."""
 
 import pytest
 
-from repro.net.bandwidth import TokenBucket
 from repro.net.packet import Packet
 from repro.net.wifi import WifiNetwork
 from repro.simkit import Simulator
@@ -56,37 +55,3 @@ def test_wifi_validation():
         WifiNetwork(sim, rate_bps=0)
     with pytest.raises(ValueError):
         WifiNetwork(sim, contenders=0)
-
-
-def test_token_bucket_burst_then_rate():
-    bucket = TokenBucket(rate_bps=8000.0, burst_bytes=1000)  # 1000 B/s refill
-    assert bucket.consume(1000, now=0.0)
-    assert not bucket.consume(500, now=0.0)
-    # After 0.5 s, 500 bytes of tokens returned.
-    assert bucket.consume(500, now=0.5)
-
-
-def test_token_bucket_conform_delay():
-    bucket = TokenBucket(rate_bps=8000.0, burst_bytes=1000)
-    bucket.consume(1000, now=0.0)
-    assert bucket.conform_delay(500, now=0.0) == pytest.approx(0.5)
-    assert bucket.conform_delay(100, now=1.0) == 0.0
-
-
-def test_token_bucket_never_exceeds_burst():
-    bucket = TokenBucket(rate_bps=8000.0, burst_bytes=1000)
-    assert bucket.tokens(now=100.0) == 1000.0
-
-
-def test_token_bucket_time_backwards_rejected():
-    bucket = TokenBucket(rate_bps=8000.0, burst_bytes=1000)
-    bucket.consume(10, now=5.0)
-    with pytest.raises(ValueError):
-        bucket.consume(10, now=4.0)
-
-
-def test_token_bucket_validation():
-    with pytest.raises(ValueError):
-        TokenBucket(rate_bps=0, burst_bytes=100)
-    with pytest.raises(ValueError):
-        TokenBucket(rate_bps=100, burst_bytes=0)

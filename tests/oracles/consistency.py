@@ -1,8 +1,8 @@
-"""Consistency measurement across replicas."""
+"""Replica-vs-truth divergence sampled through a running simulation."""
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -11,7 +11,7 @@ from repro.sensing.pose import Pose
 from repro.simkit.engine import Simulator
 
 
-class ConsistencyProbe:  # replint: ignore[ARCH003] -- replica-vs-truth oracle in tests
+class ConsistencyProbe:
     """Samples divergence between ground truth and replicated views.
 
     ``truths`` maps entity id → callable ``t -> Pose`` (what the entity is

@@ -11,7 +11,8 @@ from repro.render.pipeline import DEVICE_PROFILES, DeviceProfile, RenderPipeline
 from repro.render.remote import CollaborativeRenderer, RemoteRenderConfig
 from repro.sensing.pose import Pose, yaw_quat
 from repro.simkit import Simulator
-from repro.workload.traces import SeatedMotion, StationaryMotion
+from repro.workload.traces import SeatedMotion
+from tests.oracles.traces import StationaryMotion
 
 
 def test_display_vsync_wait():

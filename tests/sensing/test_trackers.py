@@ -7,7 +7,8 @@ from repro.sensing.fusion import PoseFusionFilter
 from repro.sensing.headset import HeadsetTracker
 from repro.sensing.sensor import RoomSensorArray
 from repro.simkit import Simulator
-from repro.workload.traces import SeatedMotion, StationaryMotion, WalkingMotion
+from repro.workload.traces import SeatedMotion, WalkingMotion
+from tests.oracles.traces import StationaryMotion
 
 
 def seated_truth(sim, anchor=(2.0, 3.0, 1.2)):
@@ -108,7 +109,7 @@ def test_room_array_noise_grows_with_distance():
         occlusion=0.0, base_noise_m=0.001, noise_per_meter=0.02,
     )
     from repro.sensing.pose import Pose
-    from repro.workload.traces import StationaryMotion as SM
+    from tests.oracles.traces import StationaryMotion as SM
     far = SM(Pose(np.array([30.0, 0.0, 0.0])))
     for _ in range(200):
         errors_near.append(array.measure("a", near).pose.distance_to(near(0)))

@@ -14,7 +14,7 @@ from repro.sensing.pose import Pose
 from repro.simkit import Simulator
 from repro.sync.federation import ShardedSyncService
 from repro.sync.interest import InterestConfig
-from repro.workload.traces import StationaryMotion
+from tests.oracles.traces import StationaryMotion
 
 pytestmark = pytest.mark.federation
 

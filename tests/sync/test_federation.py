@@ -18,7 +18,8 @@ from repro.simkit import Simulator
 from repro.sync.federation import ShardedSyncService, ShardHandoffController
 from repro.sync.interest import InterestConfig, InterestManager
 from repro.workload.population import sample_worldwide
-from repro.workload.traces import StationaryMotion, WalkingMotion
+from repro.workload.traces import WalkingMotion
+from tests.oracles.traces import StationaryMotion
 
 pytestmark = pytest.mark.federation
 

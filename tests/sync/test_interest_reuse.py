@@ -23,7 +23,8 @@ from repro.sync.interest import (
 )
 from repro.sync.protocol import ClientUpdate
 from repro.sync.server import SyncServer
-from repro.workload.traces import StationaryMotion, WalkingMotion
+from repro.workload.traces import WalkingMotion
+from tests.oracles.traces import StationaryMotion
 from tests.sync.test_federation import _virtual_plan
 
 pytestmark = pytest.mark.vectorized

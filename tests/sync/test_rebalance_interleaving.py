@@ -17,7 +17,7 @@ from repro.simkit import Simulator
 from repro.sync.federation import ShardedSyncService
 from repro.sync.interest import InterestConfig
 from repro.workload.population import sample_worldwide
-from repro.workload.traces import StationaryMotion
+from tests.oracles.traces import StationaryMotion
 
 pytestmark = pytest.mark.federation
 

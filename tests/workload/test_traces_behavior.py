@@ -9,7 +9,8 @@ from repro.workload.behavior import (
     BehaviorState,
     transition_matrix,
 )
-from repro.workload.traces import SeatedMotion, StationaryMotion, WalkingMotion
+from repro.workload.traces import SeatedMotion, WalkingMotion
+from tests.oracles.traces import StationaryMotion
 
 
 def test_seated_motion_stays_near_anchor():
