@@ -2,26 +2,23 @@
 
 Section 3.3's answer to worldwide scale is **regional servers**: WAN
 round-trips in the hundreds of milliseconds make one authoritative
-server untenable, so each user syncs against a nearby shard.  Before
-this module the repo only *planned* regions (`cloud.regions.plan_regions`
-picks k sites); nothing served users from them.  :class:`ShardedSyncService`
-closes that gap: one :class:`~repro.sync.server.SyncServer` per site of a
-:class:`~repro.cloud.regions.RegionalPlan`, per-user access links and
-per-site-pair inter-shard links whose delays come from the
+server untenable, so each user syncs against a nearby shard.
+:class:`ShardedSyncService` runs one :class:`~repro.sync.server.SyncServer`
+per site of a :class:`~repro.cloud.regions.RegionalPlan`, per-user access
+links and per-site-pair inter-shard links whose delays come from the
 :class:`~repro.net.latency.WanLatencyModel`, and a federation protocol
 that keeps every client's view consistent:
 
 * each client's :class:`~repro.sync.protocol.ClientUpdate` routes to its
   *home* shard over its access link;
-* every directed shard pair runs a :class:`ShardRelay` that periodically
-  forwards a **delta stream** of the entities homed on the source shard
-  that are relevant to any subscriber homed on the destination shard
-  (computed with the same :class:`~repro.sync.interest.InterestManager`
-  policy the shards use, delta-encoded by a
-  :class:`~repro.sync.delta.BatchDeltaEncoder` so only changed states
-  cross the WAN); forwarded states materialize as *ghost* entities in the
-  destination world, where the destination shard's own interest/delta
-  tick serves them to its subscribers;
+* each source shard periodically fires one :class:`ShardRelay` round for
+  all its destinations: one interest query (the shards'
+  :class:`~repro.sync.interest.InterestManager` policy) and one
+  :class:`~repro.sync.delta.BatchDeltaEncoder` pass with a row per
+  destination give each destination a **delta stream** of the
+  source-homed entities relevant to its home subscribers, so only
+  changed states cross the WAN; they materialize as *ghost* entities in
+  the destination world, whose own interest/delta tick serves them;
 * relays piggyback a *subscriber digest* (the positions of the home
   subscribers of the sending shard) so the reverse relay knows which
   remote subjects to compute relevance for — interest aggregation is
@@ -58,6 +55,7 @@ report then shows shard-relay latency as its own budget line.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, groupby
 from typing import (
     Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
 )
@@ -83,6 +81,7 @@ from repro.sync.protocol import HEADER_BYTES, ClientUpdate, ServerSnapshot
 from repro.sync.server import ServerCostModel, SyncServer
 
 _ORIGIN = np.zeros(3)
+_NO_SLOTS = np.empty(0, dtype=np.int64)
 
 #: Wire bytes per subscriber-digest entry: 8-byte id hash + 3 x 4-byte
 #: quantized coordinates.
@@ -128,145 +127,124 @@ class ShardDelta:
         return size
 
 
-class ShardRelay:
-    """The directed federation pipe from one shard to another.
+@dataclass(eq=False)
+class RelayPair:
+    """What the relay keeps per directed shard pair."""
 
-    Every firing determines which source-homed entities any destination
-    subscriber cares about (one batch interest query against the latest
-    digest received from the other side, reused while neither the local
-    entities nor the digest changed), delta-encodes the answer against
-    what this relay last forwarded, and ships the result plus the
-    source's own subscriber digest over the inter-shard link.
+    src_site: str
+    dst_site: str
+    link: Link
+    #: Latest digest from the destination: its home subscribers'
+    #: positions, the subjects relevance is computed for.
+    remote_subjects: Dict[str, np.ndarray] = field(default_factory=dict)
+    seq: int = 0
+    deltas_sent: int = 0
+    states_forwarded: int = 0
+    bytes_sent: int = 0
+    #: ``(ids, slots, points, subject_points, relevant slots)`` of this
+    #: destination's last interest answer, reused while inputs repeat.
+    relevant: Optional[tuple] = None
+
+
+@dataclass(eq=False)
+class ShardRelay:
+    """One relay round: a source shard and the destinations armed with it.
+
+    A firing does the source-side work once for all its ``pairs`` (one
+    local SoA gather, one subscriber digest, one interest query, one
+    :meth:`~repro.sync.delta.BatchDeltaEncoder.encode_batch` with a row
+    per destination), then ships each destination its delta and the
+    digest, in ``pairs`` order.
     """
 
-    def __init__(
-        self,
-        service: "ShardedSyncService",
-        src_site: str,
-        dst_site: str,
-        link: Link,
-        interest: InterestManager,
-        encoder: BatchDeltaEncoder,
-    ):
-        self.service = service
-        self.src_site = src_site
-        self.dst_site = dst_site
-        self.link = link
-        self.interest = interest
-        self.encoder = encoder
-        #: Latest digest from the destination: its home subscribers'
-        #: positions, the subjects this relay computes relevance for.
-        self.remote_subjects: Dict[str, np.ndarray] = {}
-        self.seq = 0
-        self.deltas_sent = 0
-        self.states_forwarded = 0
-        self.bytes_sent = 0
-        #: Set when either endpoint is decommissioned; the relay process
-        #: exits on its next wake and in-flight fires become no-ops.
-        self.stopped = False
-        #: ``(ids, slots, points, subject_points, relevant slots)`` of the
-        #: last batch interest computation, reused while inputs repeat.
-        self._relevant: Optional[tuple] = None
+    service: "ShardedSyncService"
+    src_site: str
+    pairs: List[RelayPair]
 
-    def _encode(self, src) -> tuple:
-        """SoA relay round: the source-local slot block feeds the
-        vectorized interest core directly; the union of every remote
-        subject's CSR row is delta-encoded in one
-        :meth:`~repro.sync.delta.BatchDeltaEncoder.encode_batch` call
-        with this relay's destination as the single subscriber row.
-
-        The relevant-slot set is a pure function of the local
-        ``(ids, slots, points)`` and the stacked remote-subject points,
-        so a fire whose inputs equal the previous computation's reuses
-        its answer: shard worlds move on their tick, and a relay may
-        fire several times per tick.  The delta encode still runs every
-        fire, which keeps the keyframe cadence per encode call."""
-        world = src.world
-        ids, slots, points, rows = self.service.local_soa(self.src_site)
-        if self.remote_subjects and len(slots):
+    def _relevant_slots(self, world, ids, slots, points, rows) -> list:
+        """Each destination's slots of the local entities relevant to any
+        of its subjects.  A destination whose inputs equal those of its
+        last answer reuses it; one query over the others' stacked subjects
+        answers the rest, as interest rows are per subject.  Id ranks
+        restricted to the local ``rows`` keep the order the tie-break
+        reads."""
+        relevant = [_NO_SLOTS] * len(self.pairs)
+        queried = []
+        for i, pair in enumerate(self.pairs):
+            if not pair.remote_subjects or not len(slots):
+                continue
             subject_points = np.array(
-                list(self.remote_subjects.values()), dtype=float)
-            cached = self._relevant
+                list(pair.remote_subjects.values()), dtype=float)
+            cached = pair.relevant
             if cached is not None \
                     and np.array_equal(cached[2], points) \
                     and np.array_equal(cached[3], subject_points) \
                     and np.array_equal(cached[1], slots) \
                     and cached[0] == ids:
-                rel_slots = cached[4]
+                relevant[i] = cached[4]
             else:
-                rel_slots = self._relevant_slots(
-                    world, slots, points, rows, subject_points)
-                self._relevant = (ids, slots, points, subject_points,
-                                  rel_slots)
-        else:
-            rel_slots = np.empty(0, dtype=np.int64)
-        send_mask, full_flags, removed_lists = self.encoder.encode_batch(
-            world, [self.dst_site],
-            np.array([0, len(rel_slots)], dtype=np.int64), rel_slots)
-        sent_slots = rel_slots[send_mask]
-        states = world.states_at(sent_slots.tolist())
-        states_bytes = int(world.wire_sizes[sent_slots].sum())
-        return states, removed_lists[0], bool(full_flags[0]), states_bytes
+                queried.append((i, subject_points))
+        if queried:
+            subjects = np.concatenate([subject for _i, subject in queried])
+            offsets, flat = self.service.relay_interest.relevant_indices_batch(
+                points, subjects, np.full(len(subjects), -1, dtype=np.int64),
+                world.lexicographic_ranks()[rows])
+            offsets, first = offsets.tolist(), 0
+            for i, subject in queried:
+                last = first + len(subject)
+                relevant[i] = slots[np.unique(flat[offsets[first]:offsets[last]])]
+                self.pairs[i].relevant = (ids, slots, points, subject,
+                                          relevant[i])
+                first = last
+        return relevant
 
-    def _relevant_slots(self, world, slots, points, rows,
-                        subject_points) -> np.ndarray:
-        """Slots of the local entities relevant to any remote subject.
-
-        Id ranks come from the world's cached lexicographic ranks
-        restricted to the local ``rows``: the restriction keeps their
-        relative order, which is all the distance tie-break reads."""
-        no_self = np.full(len(subject_points), -1, dtype=np.int64)
-        ranks = world.lexicographic_ranks()[rows]
-        _offsets, flat = self.interest.relevant_indices_batch(
-            points, subject_points, no_self, ranks)
-        if not len(flat):
-            return np.empty(0, dtype=np.int64)
-        return slots[np.unique(flat)]
-
-    def fire(self) -> Optional[ShardDelta]:
-        """One relay round; returns the delta sent (None when idle)."""
+    def fire(self) -> Optional[List[ShardDelta]]:
+        """One relay round; returns the deltas sent (None when idle)."""
         service = self.service
-        if self.stopped:
-            return None
         src = service.shards.get(self.src_site)
-        if src is None or src.crashed:
+        if not self.pairs or src is None or src.crashed:
             return None
-        states, removed, full, states_bytes = self._encode(src)
+        world = src.world
+        relevant = self._relevant_slots(
+            world, *service.local_soa(self.src_site))
+        offsets = list(accumulate(map(len, relevant), initial=0))
+        send_mask, full_flags, removed_lists = \
+            service.relay_encoders[self.src_site].encode_batch(
+                world, [pair.dst_site for pair in self.pairs], offsets,
+                np.concatenate(relevant))
         digest = service.home_subscriber_digest(self.src_site)
-        if not states and not removed and not digest:
-            return None
-        delta = ShardDelta(
-            src_site=self.src_site,
-            dst_site=self.dst_site,
-            seq=self.seq,
-            states_bytes=states_bytes,
-            states=states,
-            removed=removed,
-            subscribers=digest,
-            full=full,
-        )
-        self.seq += 1
-        packet = Packet(
-            src=self.src_site, dst=self.dst_site,
-            size_bytes=max(1, delta.size_bytes),
-            kind="shard_delta", payload=delta,
-            created_at=service.sim.now,
-        )
-        if service.sim.obs.enabled:
-            traced = {
-                state.participant_id: service._traced[state.participant_id]
-                for state in states
-                if state.participant_id in service._traced
-            }
-            if traced:
-                delta.trace = traced
-                packet.meta["obs_ctx"] = next(iter(traced.values()))
-                packet.meta["obs_stage"] = "shard_relay"
-        self.deltas_sent += 1
-        self.states_forwarded += len(states)
-        self.bytes_sent += delta.size_bytes
-        self.link.send(packet, service._on_shard_delta_packet)
-        return delta
+        deltas = []
+        for i, pair in enumerate(self.pairs):
+            sent = relevant[i][send_mask[offsets[i]:offsets[i + 1]]]
+            states = world.states_at(sent.tolist())
+            if not states and not removed_lists[i] and not digest:
+                continue
+            delta = ShardDelta(
+                src_site=self.src_site, dst_site=pair.dst_site, seq=pair.seq,
+                states_bytes=int(world.wire_sizes[sent].sum()),
+                states=states, removed=removed_lists[i], subscribers=digest,
+                full=bool(full_flags[i]))
+            pair.seq += 1
+            packet = Packet(src=self.src_site, dst=pair.dst_site,
+                            size_bytes=max(1, delta.size_bytes),
+                            kind="shard_delta", payload=delta,
+                            created_at=service.sim.now)
+            if service.sim.obs.enabled:
+                traced = {
+                    state.participant_id: service._traced[state.participant_id]
+                    for state in states
+                    if state.participant_id in service._traced
+                }
+                if traced:
+                    delta.trace = traced
+                    packet.meta["obs_ctx"] = next(iter(traced.values()))
+                    packet.meta["obs_stage"] = "shard_relay"
+            pair.deltas_sent += 1
+            pair.states_forwarded += len(states)
+            pair.bytes_sent += delta.size_bytes
+            pair.link.send(packet, service._on_shard_delta_packet)
+            deltas.append(delta)
+        return deltas or None
 
 
 @dataclass
@@ -301,8 +279,8 @@ class ShardedSyncService:
         crash-time reassignment.  Without it access delays fall back to
         the plan's recorded RTTs.
     relay_rate_hz:
-        How often every shard-pair relay fires; by default at the shards'
-        20 Hz tick.
+        How often each source shard's relay round (one for all its
+        destinations) fires; by default at the shards' 20 Hz tick.
 
     Link propagation delays come from :attr:`model`, a
     :class:`~repro.net.latency.WanLatencyModel` sampled jitter-free, so
@@ -362,12 +340,20 @@ class ShardedSyncService:
         self.shards: Dict[str, SyncServer] = {
             site: self._make_shard(site) for site in plan.sites
         }
-        self.relays: Dict[Tuple[str, str], ShardRelay] = {}
+        self.relays: Dict[Tuple[str, str], RelayPair] = {}
         for src in plan.sites:
             for dst in plan.sites:
                 if src == dst:
                     continue
                 self.relays[(src, dst)] = self._make_relay(src, dst)
+        #: Per source shard, one encoder row per destination: its seen
+        #: state and keyframe cadence survive regrouping into new rounds.
+        self.relay_encoders: Dict[str, BatchDeltaEncoder] = {
+            site: BatchDeltaEncoder() for site in plan.sites
+        }
+        self.relay_interest = InterestManager(self.interest_config)
+        #: The armed relay rounds; decommissioning a site drops its pairs.
+        self.rounds: List[ShardRelay] = []
         self._access_links: Dict[Tuple[str, str, str], Link] = {}
         #: Latest span context per traced entity (obs enabled only).
         self._traced: Dict[str, Any] = {}
@@ -385,17 +371,12 @@ class ShardedSyncService:
             cost_model=self._cost_model,
         )
 
-    def _make_relay(self, src: str, dst: str) -> ShardRelay:
-        link = Link(
+    def _make_relay(self, src: str, dst: str) -> RelayPair:
+        return RelayPair(src, dst, Link(
             self.sim, INTER_SHARD_RATE_BPS,
             self._inter_shard_delay(src, dst),
             name=f"{self.name}:{src}->{dst}",
-        )
-        return ShardRelay(
-            self, src, dst, link,
-            interest=InterestManager(self.interest_config),
-            encoder=BatchDeltaEncoder(),
-        )
+        ))
 
     # -- geography ---------------------------------------------------------
 
@@ -544,11 +525,12 @@ class ShardedSyncService:
 
         The shard gets a fresh (never reused) owner code, bidirectional
         relays to every existing shard, and — when the service is inside
-        a :meth:`start` window — tick and relay processes armed for the
-        remaining horizon, so a shard provisioned mid-run participates
-        immediately and winds down with the rest of the fleet.  No users
-        are moved; route them with :meth:`move_user` or admission-time
-        placement.
+        a :meth:`start` window — its tick process and relay rounds armed
+        for the remaining horizon (one round for its own outgoing pairs,
+        one per existing source for its pair to the newcomer), so a shard
+        provisioned mid-run participates immediately and winds down with
+        the rest of the fleet.  No users are moved; route them with
+        :meth:`move_user` or admission-time placement.
         """
         if site in self.shards:
             raise ValueError(f"site {site!r} already provisioned")
@@ -564,22 +546,26 @@ class ShardedSyncService:
         for user_id, level in self._lod_hints.items():
             shard.set_lod_hint(user_id, level)
         self.shards[site] = shard
+        self.relay_encoders[site] = BatchDeltaEncoder()
         if site not in self.plan.sites:
             self.plan.sites.append(site)
-        new_relays: List[ShardRelay] = []
+        outgoing: List[RelayPair] = []
+        incoming: List[RelayPair] = []
         for other in self.shards:
             if other == site:
                 continue
-            for src, dst in ((site, other), (other, site)):
-                relay = self._make_relay(src, dst)
-                self.relays[(src, dst)] = relay
-                new_relays.append(relay)
+            for src, dst, pairs in ((site, other, outgoing),
+                                    (other, site, incoming)):
+                pairs.append(self._make_relay(src, dst))
+                self.relays[(src, dst)] = pairs[-1]
         if self._run_until is not None and \
                 self.sim.now < self._run_until - 1e-12:
             remaining = self._run_until - self.sim.now
             shard.run(duration=remaining)
-            for relay in new_relays:
-                self._relay_process(relay, remaining)
+            # Rounds armed at different instants are never merged: their
+            # fire times drift apart by ulps.
+            for pairs in [outgoing] + [[pair] for pair in incoming]:
+                self._relay_process(pairs, remaining)
         self.metrics.incr("sites_provisioned")
         return shard
 
@@ -612,8 +598,15 @@ class ShardedSyncService:
             if assigned == site:
                 self.home[user_id] = self.nearest_sites(user_id, survivors)[0]
                 self.plan.assignment[user_id] = self.home[user_id]
-        for key in [k for k in self.relays if site in k]:
-            self.relays.pop(key).stopped = True
+        self.relays = {key: pair for key, pair in self.relays.items()
+                       if site not in key}
+        for relay in self.rounds:
+            relay.pairs = [pair for pair in relay.pairs
+                           if site not in (pair.src_site, pair.dst_site)]
+        self.rounds = [relay for relay in self.rounds if relay.pairs]
+        del self.relay_encoders[site]
+        for encoder in self.relay_encoders.values():
+            encoder.forget(site)
         self.shards.pop(site).stop()
         if site in self.plan.sites:
             self.plan.sites.remove(site)
@@ -799,25 +792,32 @@ class ShardedSyncService:
         self.metrics.incr("shard_deltas_delivered")
         self.metrics.incr("shard_states_applied", len(delta.states))
 
-    def _relay_process(self, relay: ShardRelay, duration: float):
+    def _relay_process(self, pairs: List[RelayPair], duration: float):
+        """Arm one relay round over ``pairs`` (one source) for ``duration``."""
+        relay = ShardRelay(self, pairs[0].src_site, pairs)
+        self.rounds.append(relay)
+
         def step():
-            if relay.stopped:
-                return None  # endpoint decommissioned mid-run
+            if not relay.pairs:
+                return None  # every destination decommissioned mid-run
             relay.fire()
             return self.relay_period
 
         return self.sim.every(duration, step)
 
     def start(self, duration: float) -> list:
-        """Arm every shard's tick loop and every relay for ``duration``."""
+        """Arm every shard's tick loop and one relay round per source
+        shard, covering all its pairs in sorted order, for ``duration``."""
         if duration <= 0:
             raise ValueError("duration must be positive")
         self._run_until = self.sim.now + duration
         processes = [
             shard.run(duration=duration) for shard in self.shards.values()
         ]
-        for key in sorted(self.relays):
-            processes.append(self._relay_process(self.relays[key], duration))
+        for _src, items in groupby(sorted(self.relays.items()),
+                                   key=lambda item: item[0][0]):
+            processes.append(self._relay_process(
+                [pair for _key, pair in items], duration))
         return processes
 
     # -- measurement ----------------------------------------------------------

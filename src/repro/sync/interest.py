@@ -46,8 +46,9 @@ _UNINDEXABLE = ("interest positions must be finite, in cells spanning a box "
 #: Largest ``subjects x entities`` query answered densely: one (s, n)
 #: block mask and distance matrix instead of the cell index, whose fixed
 #: cost (key sort, per-cell loop, histogram selection) rules small
-#: queries.  Federated relay queries (at most 1,400 pairs) fall below it,
-#: the 2,000-avatar hall far above; DESIGN.md §7 has the crossover.
+#: queries.  A federated relay round's stacked query (at most 1,027 pairs
+#: on the benchmark workloads, on class-rush) falls below it, the
+#: 2,000-avatar hall far above; DESIGN.md §7 has the crossover.
 DENSE_MAX_PAIRS = 8192
 
 

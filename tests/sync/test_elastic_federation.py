@@ -12,7 +12,7 @@ import pytest
 from repro.cloud.regions import RegionalPlan
 from repro.sensing.pose import Pose
 from repro.simkit import Simulator
-from repro.sync.federation import ShardedSyncService
+from repro.sync.federation import ShardedSyncService, ShardRelay
 from repro.sync.interest import InterestConfig
 from tests.oracles.traces import StationaryMotion
 
@@ -155,3 +155,149 @@ def test_server_stop_closes_the_window_gracefully():
     assert sim.now < 10.0
     shard.run(duration=1.0)  # no "already running" complaint
     sim.run()
+
+
+# -- relay rounds --------------------------------------------------------------
+
+
+def _record_rounds(monkeypatch, service):
+    """Log ``(now, pair keys)`` for every relay round fired."""
+    fired = []
+    inner = ShardRelay.fire
+
+    def fire(relay):
+        fired.append((service.sim.now, tuple(
+            (pair.src_site, pair.dst_site) for pair in relay.pairs)))
+        return inner(relay)
+
+    monkeypatch.setattr(ShardRelay, "fire", fire)
+    return fired
+
+
+def _lone_every(sim, duration, period):
+    """The instants a lone periodic process armed now would wake at."""
+    instants = []
+
+    def step():
+        instants.append(sim.now)
+        return period
+
+    sim.every(duration, step)
+    return instants
+
+
+def test_mid_run_add_site_arms_its_own_rounds_on_its_own_phase(monkeypatch):
+    duration, added_at = 2.0, 0.73
+    sim = Simulator(seed=8)
+    service, users = _service(sim, 3, ["s0", "s1", "s2"])
+    for user in users:
+        _attach(sim, service, user, duration)
+    fired = _record_rounds(monkeypatch, service)
+    service.start(duration)
+    start_instants = _lone_every(sim, duration, service.relay_period)
+    lone = {}
+
+    def grow():
+        service.add_site("s3")
+        lone["add"] = _lone_every(sim, duration - sim.now,
+                                  service.relay_period)
+
+    sim.call_at(added_at, grow)
+    sim.run()
+
+    rounds = {}
+    for now, keys in fired:
+        rounds.setdefault(keys, []).append(now)
+    # The start() rounds: one per source, all its pairs in sorted order.
+    # add_site: one round for the newcomer's outgoing pairs, and each old
+    # source's pair to it is a round of its own.
+    assert sorted(rounds) == sorted([
+        (("s0", "s1"), ("s0", "s2")),
+        (("s1", "s0"), ("s1", "s2")),
+        (("s2", "s0"), ("s2", "s1")),
+        (("s3", "s0"), ("s3", "s1"), ("s3", "s2")),
+        (("s0", "s3"),), (("s1", "s3"),), (("s2", "s3"),),
+    ])
+    # Every pair fires at the bit-identical instants of a lone periodic
+    # process armed when the pair was.
+    for keys, instants in rounds.items():
+        expected = lone["add"] if "s3" in keys[0] else start_instants
+        assert instants == expected, keys
+    assert lone["add"][0] == added_at and len(lone["add"]) > 20
+
+
+def test_add_site_before_start_joins_its_sources_rounds(monkeypatch):
+    sim = Simulator(seed=9)
+    service, users = _service(sim, 3, ["s0", "s1"])
+    for user in users:
+        _attach(sim, service, user, 1.0)
+    service.add_site("s2")
+    fired = _record_rounds(monkeypatch, service)
+    service.start(1.0)
+    sim.run()
+    assert sorted({keys for _now, keys in fired}) == [
+        (("s0", "s1"), ("s0", "s2")),
+        (("s1", "s0"), ("s1", "s2")),
+        (("s2", "s0"), ("s2", "s1")),
+    ]
+    assert [[(p.src_site, p.dst_site) for p in relay.pairs]
+            for relay in service.rounds] == [list(k) for k in sorted(
+                {keys for _now, keys in fired})]
+
+
+def test_add_drain_cycles_keep_relay_state_bounded():
+    duration = 6.0
+    sim = Simulator(seed=10)
+    service, users = _service(sim, 4, ["s0", "s1"])
+    for user in users:
+        _attach(sim, service, user, duration)
+    service.start(duration)
+    checks = []
+
+    def check(gone):
+        live = set(service.shards)
+        assert gone not in service.relay_encoders
+        for relay in service.rounds:
+            assert relay.pairs
+            for pair in relay.pairs:
+                assert {pair.src_site, pair.dst_site} <= live
+        for src, encoder in service.relay_encoders.items():
+            # A drained destination's row is forgotten: live rows never
+            # outnumber the source's live destinations.
+            assert set(encoder._row_of) <= live - {src}
+            assert len(encoder._row_of) <= len(live) - 1
+        checks.append(len(service.rounds))
+
+    for cycle in range(4):
+        site = f"x{cycle}"
+
+        def grow(site=site, user=users[cycle]):
+            service.add_site(site)
+            service.move_user(user, site)
+
+        sim.call_at(0.5 + cycle, grow)
+        sim.call_at(1.0 + cycle,
+                    lambda site=site: (service.drain_site(site), check(site)))
+    sim.run()
+    # Each cycle's rounds went with its site: back to one per source.
+    assert checks == [2, 2, 2, 2]
+    stats = service.relay_stats()
+    assert sorted(stats) == ["s0->s1", "s1->s0"]
+    assert all(s["deltas_sent"] > 0 for s in stats.values())
+
+
+def test_round_with_every_pair_stopped_ends_its_process():
+    duration = 3.0
+    sim = Simulator(seed=11)
+    service, users = _service(sim, 3, ["s0", "s1", "s2"])
+    for user in users:
+        _attach(sim, service, user, duration)
+    processes = service.start(duration)
+    rounds = dict(zip(["s0", "s1", "s2"], processes[3:]))
+    drained_at = 1.0
+    sim.call_at(drained_at, lambda: service.drain_site("s2"))
+    sim.run(until=drained_at + 2 * service.relay_period)
+    assert not rounds["s2"].is_alive
+    assert rounds["s0"].is_alive and rounds["s1"].is_alive
+    assert [[(p.src_site, p.dst_site) for p in relay.pairs]
+            for relay in service.rounds] == [[("s0", "s1")], [("s1", "s0")]]

@@ -15,7 +15,9 @@ from repro.cloud.regions import RegionalPlan, plan_regions
 from repro.net.faults import FaultInjector, ServerCrashSchedule
 from repro.sensing.pose import Pose
 from repro.simkit import Simulator
-from repro.sync.federation import ShardedSyncService, ShardHandoffController
+from repro.sync.federation import (
+    ShardedSyncService, ShardHandoffController, ShardRelay,
+)
 from repro.sync.interest import InterestConfig, InterestManager
 from repro.workload.population import sample_worldwide
 from repro.workload.traces import WalkingMotion
@@ -252,8 +254,8 @@ def test_delivered_digest_holds_send_time_positions():
     world.apply(_pose_state("u02", [3.0, 4.0, 1.2], seq=0))
     sent = {"u00": np.array([1.0, 2.0, 1.2]), "u02": np.array([3.0, 4.0, 1.2])}
 
-    delta = service.relays[("s0", "s1")].fire()
-    assert delta is not None and sorted(delta.subscribers) == ["u00", "u02"]
+    [delta] = ShardRelay(service, "s0", [service.relays[("s0", "s1")]]).fire()
+    assert sorted(delta.subscribers) == ["u00", "u02"]
     # In flight: u00 moves, u02 leaves and a newcomer takes its slot.
     world.apply(_pose_state("u00", [9.0, 9.0, 1.2], seq=1))
     freed = world.slot_of("u02")
@@ -400,36 +402,49 @@ def _reference_relevant_slots(config, ids, slots, points, subjects):
 
 
 def _record_relay_fires(service):
-    """Wrap every relay's interest query and delta encode; each encode
-    logs that fire's inputs, the slots it encoded and how many interest
-    queries the fire made."""
+    """Wrap the relay rounds' interest query and every source's relay
+    encode.  Each encode logs, per destination, that fire's inputs, the
+    slots encoded for it and whether the round's query covered it: its
+    cached answer was recomputed, and the query stacked exactly the
+    recomputed destinations' subjects (no query when there were none)."""
     fires = []
-    for key, relay in sorted(service.relays.items()):
-        calls = []
+    queries = []
+    answers = {}
 
-        def counting(*args, _inner=relay.interest.relevant_indices_batch,
-                     _calls=calls):
-            _calls.append(1)
-            return _inner(*args)
+    def counting(points, subjects, *args,
+                 _inner=service.relay_interest.relevant_indices_batch):
+        queries.append(len(subjects))
+        return _inner(points, subjects, *args)
+
+    service.relay_interest.relevant_indices_batch = counting
+    for src, encoder in sorted(service.relay_encoders.items()):
 
         def observing(world, subscribers, offsets, flat,
-                      _inner=relay.encoder.encode_batch, _relay=relay,
-                      _key=key, _calls=calls):
-            ids, slots, points, _rows = service.local_soa(_relay.src_site)
-            subjects = None
-            if _relay.remote_subjects:
-                subjects = np.stack(list(_relay.remote_subjects.values()))
-            fires.append({
-                "relay": _key, "ids": list(ids), "slots": slots.copy(),
-                "points": points.copy(), "subjects": subjects,
-                "encoded": set(np.asarray(flat).tolist()),
-                "calls": len(_calls),
-            })
-            _calls.clear()
+                      _inner=encoder.encode_batch, _src=src):
+            ids, slots, points, _rows = service.local_soa(_src)
+            queried = 0
+            for i, dst in enumerate(subscribers):
+                pair = service.relays[(_src, dst)]
+                subjects = None
+                if pair.remote_subjects:
+                    subjects = np.stack(list(pair.remote_subjects.values()))
+                fresh = pair.relevant is not answers.get((_src, dst))
+                answers[(_src, dst)] = pair.relevant
+                if fresh:
+                    queried += len(subjects)
+                fires.append({
+                    "relay": (_src, dst), "ids": list(ids),
+                    "slots": slots.copy(), "points": points.copy(),
+                    "subjects": subjects,
+                    "encoded": set(np.asarray(
+                        flat[offsets[i]:offsets[i + 1]]).tolist()),
+                    "calls": int(fresh),
+                })
+            assert queries == ([queried] if queried else [])
+            queries.clear()
             return _inner(world, subscribers, offsets, flat)
 
-        relay.interest.relevant_indices_batch = counting
-        relay.encoder.encode_batch = observing
+        encoder.encode_batch = observing
     return fires
 
 
@@ -523,13 +538,15 @@ def test_relay_recomputes_when_membership_alone_changes():
         sim, plan, interest_config=InterestConfig(radius_m=5.0,
                                                   max_entities=1))
     world = service.shards["s0"].world
-    relay = service.relays[("s0", "s1")]
-    relay.remote_subjects = {"u01": np.zeros(3)}
+    pair = service.relays[("s0", "s1")]
+    pair.remote_subjects = {"u01": np.zeros(3)}
+    relay = ShardRelay(service, "s0", [pair])
     for entity_id, x in (("b", 1.0), ("c", -1.0)):
         service.entity_home[entity_id] = "s0"
         world.apply(_pose_state(entity_id, [x, 0.0, 0.0], seq=0))
     # b and c tie at 1 m; the id tie-break picks b.
-    assert [s.participant_id for s in relay.fire().states] == ["b"]
+    [delta] = relay.fire()
+    assert [s.participant_id for s in delta.states] == ["b"]
     assert relay.fire() is None  # nothing changed, nothing to send
 
     freed = world.slot_of("b")
@@ -537,6 +554,6 @@ def test_relay_recomputes_when_membership_alone_changes():
     service.entity_home["z"] = "s0"
     world.apply(_pose_state("z", [1.0, 0.0, 0.0], seq=0))
     assert world.slot_of("z") == freed
-    delta = relay.fire()
+    [delta] = relay.fire()
     assert [s.participant_id for s in delta.states] == ["c"]
     assert delta.removed == ["b"]
