@@ -161,14 +161,17 @@ def test_server_stop_closes_the_window_gracefully():
 
 
 def _record_rounds(monkeypatch, service):
-    """Log ``(now, pair keys)`` for every relay round fired."""
+    """Log ``(now, pair keys, keys of the deltas sent)`` for every relay
+    round fired."""
     fired = []
     inner = ShardRelay.fire
 
     def fire(relay):
-        fired.append((service.sim.now, tuple(
-            (pair.src_site, pair.dst_site) for pair in relay.pairs)))
-        return inner(relay)
+        keys = tuple((pair.src_site, pair.dst_site) for pair in relay.pairs)
+        deltas = inner(relay) or []
+        fired.append((service.sim.now, keys, [
+            (delta.src_site, delta.dst_site) for delta in deltas]))
+        return deltas or None
 
     monkeypatch.setattr(ShardRelay, "fire", fire)
     return fired
@@ -206,7 +209,7 @@ def test_mid_run_add_site_arms_its_own_rounds_on_its_own_phase(monkeypatch):
     sim.run()
 
     rounds = {}
-    for now, keys in fired:
+    for now, keys, _sent in fired:
         rounds.setdefault(keys, []).append(now)
     # The start() rounds: one per source, all its pairs in sorted order.
     # add_site: one round for the newcomer's outgoing pairs, and each old
@@ -235,14 +238,17 @@ def test_add_site_before_start_joins_its_sources_rounds(monkeypatch):
     fired = _record_rounds(monkeypatch, service)
     service.start(1.0)
     sim.run()
-    assert sorted({keys for _now, keys in fired}) == [
+    expected = [
         (("s0", "s1"), ("s0", "s2")),
         (("s1", "s0"), ("s1", "s2")),
         (("s2", "s0"), ("s2", "s1")),
     ]
-    assert [[(p.src_site, p.dst_site) for p in relay.pairs]
-            for relay in service.rounds] == [list(k) for k in sorted(
-                {keys for _now, keys in fired})]
+    assert sorted({keys for _now, keys, _sent in fired}) == expected
+    assert [tuple((pair.src_site, pair.dst_site) for pair in relay.pairs)
+            for relay in service.rounds] == expected
+    # A round sends in its pairs' sorted order, as per-pair relays fired.
+    assert all(sent == sorted(sent) for _now, _keys, sent in fired)
+    assert any(len(sent) == 2 for _now, _keys, sent in fired)
 
 
 def test_add_drain_cycles_keep_relay_state_bounded():
