@@ -6,6 +6,7 @@ are 3-vectors in metres within the classroom's local frame.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -17,14 +18,15 @@ IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
 def quat_normalize(q: np.ndarray) -> np.ndarray:
     """Return ``q`` scaled to unit norm; rejects the zero quaternion.
 
-    The squared norm is summed in explicit left-to-right order rather
-    than through ``np.linalg.norm`` (whose BLAS dot product may use a
-    different accumulation order per platform/build): the batched
+    The norm is ``math.sqrt`` of the squares of ``q.tolist()`` summed in
+    explicit left-to-right order, not ``np.linalg.norm`` (whose BLAS dot
+    product may sum in another order per platform/build): the batched
     quantizer reproduces this exact operation row-wise, and bit-for-bit
     scalar/vector equivalence requires one well-defined summation order.
     """
     q = np.asarray(q, dtype=float)
-    norm = np.sqrt(((q[0] * q[0] + q[1] * q[1]) + q[2] * q[2]) + q[3] * q[3])
+    w, x, y, z = q.tolist()
+    norm = math.sqrt(((w * w + x * x) + y * y) + z * z)
     if norm < 1e-12:
         raise ValueError("cannot normalize a zero quaternion")
     return q / norm
@@ -120,13 +122,6 @@ class Pose:
     def angle_to(self, other: "Pose") -> float:
         """Orientation error in radians."""
         return quat_angle(self.orientation, other.orientation)
-
-    def transformed(self, translation: np.ndarray, yaw: float = 0.0) -> "Pose":
-        """This pose translated and rotated about the vertical axis."""
-        rotation = yaw_quat(yaw)
-        new_position = quat_rotate(rotation, self.position) + np.asarray(translation, dtype=float)
-        new_orientation = quat_multiply(rotation, self.orientation)
-        return Pose(new_position, new_orientation)
 
     def interpolate(self, other: "Pose", t: float) -> "Pose":
         """Linear/spherical blend towards ``other`` (t in [0, 1] typical)."""

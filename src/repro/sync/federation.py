@@ -141,7 +141,7 @@ class RelayPair:
     deltas_sent: int = 0
     states_forwarded: int = 0
     bytes_sent: int = 0
-    #: ``(ids, slots, points, subject_points, relevant slots)`` of this
+    #: ``((ids, slots, points), subject_points, relevant slots)`` of this
     #: destination's last interest answer, reused while inputs repeat.
     relevant: Optional[tuple] = None
 
@@ -167,23 +167,29 @@ class ShardRelay:
         last answer reuses it; one query over the others' stacked subjects
         answers the rest, as interest rows are per subject.  Id ranks
         restricted to the local ``rows`` keep the order the tie-break
-        reads."""
+        reads.  Answers of one round share its local ``(ids, slots,
+        points)`` tuple, so a round checks each distinct one once."""
         relevant = [_NO_SLOTS] * len(self.pairs)
         queried = []
+        local, checked = (ids, slots, points), []
         for i, pair in enumerate(self.pairs):
             if not pair.remote_subjects or not len(slots):
                 continue
             subject_points = np.array(
                 list(pair.remote_subjects.values()), dtype=float)
             cached = pair.relevant
-            if cached is not None \
-                    and np.array_equal(cached[2], points) \
-                    and np.array_equal(cached[3], subject_points) \
-                    and np.array_equal(cached[1], slots) \
-                    and cached[0] == ids:
-                relevant[i] = cached[4]
-            else:
-                queried.append((i, subject_points))
+            if cached is not None:
+                same = next((v for k, v in checked if k is cached[0]), None)
+                if same is None:
+                    c_ids, c_slots, c_points = cached[0]
+                    same = np.array_equal(c_points, points) \
+                        and np.array_equal(c_slots, slots) and c_ids == ids
+                    checked.append((cached[0], same))
+                    local = cached[0] if same else local
+                if same and np.array_equal(cached[1], subject_points):
+                    relevant[i] = cached[2]
+                    continue
+            queried.append((i, subject_points))
         if queried:
             subjects = np.concatenate([subject for _i, subject in queried])
             offsets, flat = self.service.relay_interest.relevant_indices_batch(
@@ -193,8 +199,7 @@ class ShardRelay:
             for i, subject in queried:
                 last = first + len(subject)
                 relevant[i] = slots[np.unique(flat[offsets[first]:offsets[last]])]
-                self.pairs[i].relevant = (ids, slots, points, subject,
-                                          relevant[i])
+                self.pairs[i].relevant = (local, subject, relevant[i])
                 first = last
         return relevant
 

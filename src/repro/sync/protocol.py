@@ -34,7 +34,7 @@ class ClientUpdate:
         return HEADER_BYTES + self.state.wire_bytes(_QUANT)
 
 
-@dataclass
+@dataclass(slots=True)
 class ServerSnapshot:
     """Server → client: authoritative states relevant to this client.
 

@@ -378,29 +378,29 @@ class SyncServer:
         send_counts = np.bincount(sent_rows, minlength=s).astype(np.int64) \
             if len(sent_rows) else np.zeros(s, dtype=np.int64)
         send_ends = np.cumsum(send_counts).tolist()
+        # Plain Python scalars for the per-subscriber loop: indexing a
+        # NumPy array per subscriber would box a NumPy scalar each time.
+        send_counts = send_counts.tolist()
+        full_flags = full_flags.tolist()
+        size_sums = size_sums.tolist()
+        tick = self.tick_count
+        now = self.sim.now
         for i in range(s):
             end = send_ends[i]
-            start = end - int(send_counts[i])
+            start = end - send_counts[i]
             removed = removed_lists[i]
             if start == end and not removed:
                 continue
             states = states_flat[start:end]
             snapshot = ServerSnapshot(
-                tick=self.tick_count,
-                server_time=self.sim.now,
-                states=states,
-                removed=removed,
-                full=bool(full_flags[i]),
-                cached_size_bytes=HEADER_BYTES + int(size_sums[i])
-                + 8 * len(removed),
-            )
+                tick, now, states, removed, full_flags[i], None,
+                HEADER_BYTES + size_sums[i] + 8 * len(removed))
             if traced:
                 included = {
                     state.participant_id for state in states
                     if state.participant_id in traced
                 }
                 if included:
-                    now = self.sim.now
                     ready_at = now + compute_share + \
                         self.cost_model.per_state_sent * len(states)
                     snapshot.trace = {}
@@ -415,7 +415,7 @@ class SyncServer:
                             obs.record_span(
                                 "interest_delta", "interest_delta",
                                 now, ready_at, parent=ctx,
-                                entity=entity_id, tick=self.tick_count,
+                                entity=entity_id, tick=tick,
                                 states=len(states))
             states_sent += len(states)
             snapshots += 1

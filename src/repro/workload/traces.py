@@ -8,11 +8,12 @@ small over short horizons, growing with the horizon.
 
 from __future__ import annotations
 
+from math import cos, sin
 from typing import List, Sequence
 
 import numpy as np
 
-from repro.sensing.pose import Pose, quat_from_axis_angle, quat_multiply, yaw_quat
+from repro.sensing.pose import Pose, yaw_quat
 
 
 class MotionTrace:
@@ -20,16 +21,6 @@ class MotionTrace:
 
     def __call__(self, t: float) -> Pose:
         raise NotImplementedError
-
-    def average_speed(self, t0: float, t1: float, samples: int = 100) -> float:
-        """Mean speed over [t0, t1], estimated by finite differences."""
-        if t1 <= t0:
-            raise ValueError("need t1 > t0")
-        times = np.linspace(t0, t1, samples)
-        positions = np.array([self(t).position for t in times])
-        step = (t1 - t0) / (samples - 1)
-        speeds = np.linalg.norm(np.diff(positions, axis=0), axis=1) / step
-        return float(speeds.mean())
 
 
 class SeatedMotion(MotionTrace):
@@ -49,30 +40,39 @@ class SeatedMotion(MotionTrace):
         head_scan_rad: float = 0.5,
         facing_yaw: float = 0.0,
     ):
-        self.anchor = np.asarray(anchor, dtype=float)
+        self.anchor = tuple(np.asarray(anchor, dtype=float).reshape(3).tolist())
         self.sway = float(sway_amplitude_m)
         self.bob = float(bob_amplitude_m)
         self.head_scan = float(head_scan_rad)
         self.facing_yaw = float(facing_yaw)
-        self._phases = rng.uniform(0.0, 2.0 * np.pi, size=6)
-        self._freqs = np.array([0.23, 0.31, 0.17, 0.27, 0.11, 0.19]) * rng.uniform(
+        self._phases = tuple(rng.uniform(0.0, 2.0 * np.pi, size=6).tolist())
+        freqs = np.array([0.23, 0.31, 0.17, 0.27, 0.11, 0.19]) * rng.uniform(
             0.8, 1.2, size=6
         )
+        self._omegas = tuple((2.0 * np.pi * freqs).tolist())
 
     def __call__(self, t: float) -> Pose:
-        w = 2.0 * np.pi * self._freqs
-        ph = self._phases
-        offset = np.array([
-            self.sway * np.sin(w[0] * t + ph[0]),
-            self.sway * np.sin(w[1] * t + ph[1]),
-            self.bob * np.sin(w[2] * t + ph[2]),
-        ])
-        yaw = self.facing_yaw + self.head_scan * np.sin(w[3] * t + ph[3])
-        pitch = 0.15 * np.sin(w[4] * t + ph[4])
-        orientation = quat_multiply(
-            yaw_quat(yaw), quat_from_axis_angle((0.0, 1.0, 0.0), pitch)
+        w, ph = self._omegas, self._phases
+        ax, ay, az = self.anchor
+        position = (
+            ax + self.sway * sin(w[0] * t + ph[0]),
+            ay + self.sway * sin(w[1] * t + ph[1]),
+            az + self.bob * sin(w[2] * t + ph[2]),
         )
-        return Pose(self.anchor + offset, orientation)
+        # Half-angles of yaw_quat(yaw) * quat_from_axis_angle(y, pitch),
+        # multiplied out on floats term by term in quat_multiply's order;
+        # the 0.0 * s terms stay so every operation, signed zeros
+        # included, is the one the array formula performs.
+        hy = (self.facing_yaw + self.head_scan * sin(w[3] * t + ph[3])) / 2.0
+        hp = 0.15 * sin(w[4] * t + ph[4]) / 2.0
+        w1, s1, w2, s2 = cos(hy), sin(hy), cos(hp), sin(hp)
+        x1, y1, z1, x2, y2, z2 = 0.0 * s1, 0.0 * s1, s1, 0.0 * s2, s2, 0.0 * s2
+        return Pose(position, (
+            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+        ))
 
 
 class WalkingMotion(MotionTrace):

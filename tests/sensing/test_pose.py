@@ -94,12 +94,6 @@ def test_pose_distance_and_angle():
     assert a.angle_to(b) == pytest.approx(np.pi / 2)
 
 
-def test_pose_transformed_translation_and_yaw():
-    pose = Pose(np.array([1.0, 0.0, 0.0]))
-    moved = pose.transformed(np.array([0.0, 0.0, 1.0]), yaw=np.pi / 2)
-    assert np.allclose(moved.position, [0.0, 1.0, 1.0], atol=1e-12)
-
-
 def test_pose_interpolate_midpoint():
     a = Pose(np.zeros(3))
     b = Pose(np.array([2.0, 0.0, 0.0]))
