@@ -7,7 +7,6 @@ appropriateness of content overlays under the privacy-preserving
 perspective."
 """
 
-from repro.content.collab import WhiteboardReplica, converged
 from repro.content.economy import RewardPolicy
 from repro.content.ledger import ContentLedger, LedgerRecord
 from repro.content.objects import ContentLibrary, ContentObject
@@ -18,8 +17,6 @@ __all__ = [
     "ContentLibrary",
     "ContentObject",
     "LedgerRecord",
-    "WhiteboardReplica",
-    "converged",
     "OverlayRequest",
     "PrivacyDecision",
     "PrivacyPolicy",

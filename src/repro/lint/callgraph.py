@@ -253,6 +253,3 @@ class ProjectIndex:
             if (module, ".".join(parts[:end])) in self._sensitive:
                 return True
         return False
-
-    def sensitive_keys(self) -> Set[FuncKey]:
-        return set(self._sensitive)

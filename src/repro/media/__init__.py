@@ -10,23 +10,17 @@ strategies (none / ARQ / FEC) and the jitter buffer that experiment C3d
 runs, and the spatial-audio scene behind experiment F1b.
 """
 
-from repro.media.abr import AbrConfig, AbrController
 from repro.media.codec import Frame, FrameType, VideoCodecModel
 from repro.media.jitterbuffer import JitterBuffer
 from repro.media.spatial import SpatialAudioScene
 from repro.media.stream import StreamReport, VideoStreamSession
-from repro.media.video360 import TiledSphere, Viewport360Config
 
 __all__ = [
-    "AbrConfig",
-    "AbrController",
     "Frame",
     "FrameType",
     "JitterBuffer",
     "SpatialAudioScene",
     "StreamReport",
-    "TiledSphere",
     "VideoCodecModel",
-    "Viewport360Config",
     "VideoStreamSession",
 ]

@@ -1,14 +1,14 @@
-"""Network substrate: links, WiFi, WAN topology, transport, FEC.
+"""Network substrate: links, WiFi, WAN topology, transport.
 
 The paper's architecture (Figure 3) moves pose/expression data over campus
 WiFi and wired LANs to edge servers, then over WAN links between campuses
 and to the cloud.  This package simulates those paths with store-and-forward
 queued links, a geographic propagation-delay model (fiber speed + route
-stretch + peering penalties), an 802.11-style contention model, a reliable
-transport, and packet-level block FEC.  :mod:`repro.net.faults` adds
-deterministic fault injection on top — scheduled link outages,
-Gilbert–Elliott burst loss, latency-spike windows and server
-crash/restart schedules — for the robustness experiments.
+stretch + peering penalties), an 802.11-style contention model and a
+reliable transport.  :mod:`repro.net.faults` adds deterministic fault
+injection on top — scheduled link outages, Gilbert–Elliott burst loss,
+latency-spike windows and server crash/restart schedules — for the
+robustness experiments.
 """
 
 from repro.net.faults import (
@@ -21,7 +21,6 @@ from repro.net.faults import (
     ServerCrashSchedule,
     SpikeWindow,
 )
-from repro.net.fec import BlockCode, FecDecoder, FecEncoder
 from repro.net.geo import GeoPoint, WORLD_CITIES, haversine_km
 from repro.net.latency import WanLatencyModel
 from repro.net.link import Link, LinkStats
@@ -32,12 +31,9 @@ from repro.net.transport import ReliableChannel
 from repro.net.wifi import WifiNetwork
 
 __all__ = [
-    "BlockCode",
     "FaultEvent",
     "FaultInjector",
     "FaultLog",
-    "FecDecoder",
-    "FecEncoder",
     "GeoPoint",
     "GilbertElliottLoss",
     "JitterSpikeSchedule",

@@ -4,9 +4,8 @@
 
 * :class:`~repro.simkit.engine.Simulator` — the event loop with a virtual
   clock measured in **seconds** (floats).
-* :class:`~repro.simkit.event.Event` and friends — one-shot triggers with
-  callbacks, plus :class:`~repro.simkit.event.Timeout` and the composite
-  conditions :class:`~repro.simkit.event.AnyOf` / :class:`~repro.simkit.event.AllOf`.
+* :class:`~repro.simkit.event.Event` — one-shot triggers with callbacks,
+  plus :class:`~repro.simkit.event.Timeout`.
 * :class:`~repro.simkit.process.Process` — generator-based cooperative
   processes in the style of SimPy.
 * :class:`~repro.simkit.rng.RngRegistry` — named, independently seeded
@@ -32,13 +31,11 @@ from repro.simkit.errors import (
     SimkitError,
     StopProcess,
 )
-from repro.simkit.event import AllOf, AnyOf, Event, Timeout
+from repro.simkit.event import Event, Timeout
 from repro.simkit.process import Process
 from repro.simkit.rng import RngRegistry
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Event",
     "Interrupt",
     "Process",

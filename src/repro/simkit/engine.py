@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.simkit.errors import Interrupt, SimkitError
-from repro.simkit.event import AllOf, AnyOf, Event, Timeout
+from repro.simkit.event import Event, Timeout
 from repro.simkit.process import Process
 from repro.simkit.rng import RngRegistry
 from repro.simkit.spans import NOOP_TRACER, make_tracer
@@ -121,24 +121,18 @@ class Simulator:
 
         return self.process(body())
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
     def call_at(self, when: float, func: Callable[[], None]) -> Event:
         """Invoke ``func()`` at absolute time ``when`` (>= now)."""
         if when < self._now:
             raise SimkitError(f"call_at into the past: {when} < {self._now}")
         event = self.timeout(when - self._now)
-        event._add_callback(lambda _evt: func())
+        event.callbacks.append(lambda _evt: func())
         return event
 
     def call_later(self, delay: float, func: Callable[[], None]) -> Event:
         """Invoke ``func()`` after ``delay`` seconds."""
         event = self.timeout(delay)
-        event._add_callback(lambda _evt: func())
+        event.callbacks.append(lambda _evt: func())
         return event
 
     # -- scheduling internals --------------------------------------------------

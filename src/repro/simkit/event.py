@@ -1,8 +1,8 @@
-"""One-shot events, timeouts, and composite wait conditions."""
+"""One-shot events and timeouts."""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 from repro.simkit.errors import SimkitError
 
@@ -87,13 +87,6 @@ class Event:
 
     # -- kernel interface ---------------------------------------------------
 
-    def _add_callback(self, callback: Callable[["Event"], None]) -> None:
-        if self.callbacks is None:
-            # Already processed: run immediately at the current time.
-            callback(self)
-        else:
-            self.callbacks.append(callback)
-
     def _process(self) -> None:
         """Invoke callbacks.  Called exactly once by the simulator."""
         callbacks, self.callbacks = self.callbacks, None
@@ -122,100 +115,3 @@ class Timeout(Event):
 
     def succeed(self, value: Any = None) -> "Event":  # pragma: no cover
         raise SimkitError("Timeout fires automatically; do not succeed() it")
-
-
-class _Condition(Event):
-    """Shared machinery for :class:`AnyOf` and :class:`AllOf`."""
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        super().__init__(sim)
-        self.events = list(events)
-        self._pending = 0
-        for event in self.events:
-            if not isinstance(event, Event):
-                raise TypeError(f"not an Event: {event!r}")
-            if event.sim is not sim:
-                raise SimkitError("cannot mix events from different simulators")
-        if self._evaluate_immediately():
-            return
-        for event in self.events:
-            if not event.processed:
-                self._pending += 1
-                event._add_callback(self._on_child)
-        if self._pending == 0 and not self.triggered:
-            self.succeed(self._collect())
-
-    def _evaluate_immediately(self) -> bool:
-        raise NotImplementedError
-
-    def _on_child(self, event: Event) -> None:
-        raise NotImplementedError
-
-    def _collect(self) -> dict:
-        """Map of already-finished events to their values."""
-        return {
-            event: event._value
-            for event in self.events
-            if event.processed and event.ok
-        }
-
-    def _fail_from(self, event: Event) -> None:
-        event.defused = True
-        if not self.triggered:
-            self.fail(event._exception)  # type: ignore[arg-type]
-
-
-class AnyOf(_Condition):
-    """Fires when the first of the given events fires.
-
-    The value is a dict of all events that have finished by then.
-    """
-
-    def _evaluate_immediately(self) -> bool:
-        if not self.events:
-            self.succeed({})
-            return True
-        for event in self.events:
-            if event.processed:
-                if not event.ok:
-                    self._fail_from(event)
-                else:
-                    self.succeed(self._collect())
-                return True
-        return False
-
-    def _on_child(self, event: Event) -> None:
-        self._pending -= 1
-        if self.triggered:
-            if not event.ok:
-                event.defused = True
-            return
-        if not event.ok:
-            self._fail_from(event)
-        else:
-            self.succeed(self._collect())
-
-
-class AllOf(_Condition):
-    """Fires once every given event has fired (or any of them fails)."""
-
-    def _evaluate_immediately(self) -> bool:
-        if not self.events:
-            self.succeed({})
-            return True
-        for event in self.events:
-            if event.processed and not event.ok:
-                self._fail_from(event)
-                return True
-        return False
-
-    def _on_child(self, event: Event) -> None:
-        self._pending -= 1
-        if self.triggered:
-            if not event.ok:
-                event.defused = True
-            return
-        if not event.ok:
-            self._fail_from(event)
-        elif self._pending == 0:
-            self.succeed(self._collect())

@@ -17,7 +17,7 @@ class Process(Event):
     A process body yields :class:`~repro.simkit.event.Event` instances and is
     resumed with each event's value (or has the event's exception thrown in).
     The process object itself is an event, so processes can wait on each
-    other and compose with ``AnyOf`` / ``AllOf``.
+    other.
     """
 
     def __init__(self, sim: "Simulator", generator: Generator) -> None:
@@ -108,7 +108,7 @@ class Process(Event):
                         target.defused = True
                     continue
                 self._waiting_on = target
-                target._add_callback(self._resume)
+                target.callbacks.append(self._resume)
                 return
         finally:
             self.sim._active_process = previous

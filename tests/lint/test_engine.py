@@ -156,31 +156,13 @@ def test_repo_lints_clean():
     assert report.ok
 
 
-_QUEUED = "test-only, queued for deletion"
-
-#: Every ARCH003 pragma ``src/`` may carry: (module, name) -> reason.  Two
-#: are permanent API; the rest are queued to go with their modules.  A
-#: test oracle or fixture belongs in ``tests/oracles/``, never here.
+#: Every ARCH003 pragma ``src/`` may carry: (module, name) -> reason.  Both
+#: are permanent API.  A test oracle or fixture belongs in
+#: ``tests/oracles/``, never here.
 ARCH003_PRAGMAS = {
     ("repro.lint.engine", "lint_sources"): "lint API for in-memory sources",
     ("repro.obs.export", "report_json"):
         "pinned by tests/golden/mtp_report.json",
-    ("repro.media.video360", "TiledSphere"): _QUEUED,
-    ("repro.media.video360", "Viewport360Config"): _QUEUED,
-    ("repro.media.video360", "streaming_bitrate"): _QUEUED,
-    ("repro.media.video360", "bandwidth_saving"): _QUEUED,
-    ("repro.media.video360", "blur_probability"): _QUEUED,
-    ("repro.net.fec", "BlockCode"): _QUEUED,
-    ("repro.net.fec", "FecEncoder"): _QUEUED,
-    ("repro.net.fec", "FecDecoder"): _QUEUED,
-    ("repro.content.collab", "Stroke"): _QUEUED,
-    ("repro.content.collab", "StrokeAdd"): _QUEUED,
-    ("repro.content.collab", "StrokeRemove"): _QUEUED,
-    ("repro.content.collab", "LabelSet"): _QUEUED,
-    ("repro.content.collab", "WhiteboardReplica"): _QUEUED,
-    ("repro.content.collab", "converged"): _QUEUED,
-    ("repro.media.abr", "AbrConfig"): _QUEUED,
-    ("repro.media.abr", "AbrController"): _QUEUED,
 }
 
 

@@ -1,17 +1,16 @@
-"""Unit tests for events and composite conditions."""
+"""Unit tests for events."""
 
 import pytest
 
 from repro.simkit import Simulator
 from repro.simkit.errors import SimkitError
-from repro.simkit.event import AllOf, AnyOf
 
 
 def test_event_succeed_delivers_value():
     sim = Simulator()
     event = sim.event()
     seen = []
-    event._add_callback(lambda evt: seen.append(evt.value))
+    event.callbacks.append(lambda evt: seen.append(evt.value))
     event.succeed("payload")
     sim.run()
     assert seen == ["payload"]
@@ -53,73 +52,3 @@ def test_defused_failed_event_is_silent():
     event.defused = True
     event.fail(RuntimeError("boom"))
     sim.run()  # no raise
-
-
-def test_any_of_fires_on_first():
-    sim = Simulator()
-    fast = sim.timeout(1.0, value="fast")
-    slow = sim.timeout(5.0, value="slow")
-    cond = AnyOf(sim, [fast, slow])
-    results = []
-    cond._add_callback(lambda evt: results.append((sim.now, dict(evt.value))))
-    sim.run()
-    when, values = results[0]
-    assert when == 1.0
-    assert values == {fast: "fast"}
-
-
-def test_all_of_waits_for_all():
-    sim = Simulator()
-    fast = sim.timeout(1.0, value="fast")
-    slow = sim.timeout(5.0, value="slow")
-    cond = AllOf(sim, [fast, slow])
-    results = []
-    cond._add_callback(lambda evt: results.append((sim.now, dict(evt.value))))
-    sim.run()
-    when, values = results[0]
-    assert when == 5.0
-    assert values == {fast: "fast", slow: "slow"}
-
-
-def test_empty_conditions_fire_immediately():
-    sim = Simulator()
-    assert AnyOf(sim, []).triggered
-    assert AllOf(sim, []).triggered
-
-
-def test_condition_with_already_processed_event():
-    sim = Simulator()
-    done = sim.timeout(0.5, value="done")
-    sim.run()
-    cond = AnyOf(sim, [done])
-    assert cond.triggered
-    later = sim.timeout(1.0)
-    both = AllOf(sim, [done, later])
-    sim.run()
-    assert both.ok
-    assert both.value[done] == "done"
-
-
-def test_all_of_propagates_failure():
-    sim = Simulator()
-
-    def failing(sim):
-        yield sim.timeout(1.0)
-        raise ValueError("inner")
-
-    def waiter(sim, proc, ok):
-        try:
-            yield AllOf(sim, [proc, sim.timeout(10.0)])
-        except ValueError:
-            return "caught"
-        return "missed"
-
-    proc = sim.process(failing(sim))
-    outcome = sim.run_process(waiter(sim, proc, None))
-    assert outcome == "caught"
-
-
-def test_mixed_simulator_events_rejected():
-    sim_a, sim_b = Simulator(), Simulator()
-    with pytest.raises(SimkitError):
-        AnyOf(sim_a, [sim_a.timeout(1.0), sim_b.timeout(1.0)])
