@@ -37,10 +37,9 @@ def run_variant(use_headset: bool, use_room: bool, seed: int) -> float:
     errors = []
 
     def probe():
-        while True:
-            yield sim.timeout(0.1)
-            if fused.updates > 5:
-                errors.append(fused.estimate().distance_to(truth(sim.now)))
+        if fused.updates > 5:
+            errors.append(fused.estimate().distance_to(truth(sim.now)))
+        return 0.1
 
     if use_headset:
         # A drifty headset: realistic inside-out tracking over 20 s.
@@ -56,7 +55,7 @@ def run_variant(use_headset: bool, use_room: bool, seed: int) -> float:
             on_sample=fused.update,
         )
         array.run("p", truth, duration=DURATION)
-    sim.process(probe())
+    sim.call_later(0.1, lambda: sim.every(float("inf"), probe))
     sim.run(until=DURATION)
     return float(np.sqrt(np.mean(np.square(errors))))
 

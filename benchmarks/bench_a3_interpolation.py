@@ -13,6 +13,7 @@ reckoning trades accuracy for zero added delay (good between updates,
 spikes on direction changes).
 """
 
+import itertools
 import sys
 from pathlib import Path
 
@@ -46,44 +47,42 @@ def run_a3():
     reckoner = DeadReckoner()
     latest_state = {"state": None}
 
+    seqs = itertools.count()
+
     def sender():
-        seq = 0
-        while True:
-            state = AvatarState("p", sim.now, truth(sim.now), seq=seq)
-            seq += 1
-            if rng.random() >= LOSS:
-                delay = LATENCY + float(rng.exponential(JITTER))
+        state = AvatarState("p", sim.now, truth(sim.now), seq=next(seqs))
+        if rng.random() >= LOSS:
+            delay = LATENCY + float(rng.exponential(JITTER))
 
-                def deliver(state=state):
-                    buffer.push(state)
-                    reckoner.observe(state.time, state.pose)
-                    if (latest_state["state"] is None
-                            or state.time > latest_state["state"].time):
-                        latest_state["state"] = state
+            def deliver(state=state):
+                buffer.push(state)
+                reckoner.observe(state.time, state.pose)
+                if (latest_state["state"] is None
+                        or state.time > latest_state["state"].time):
+                    latest_state["state"] = state
 
-                sim.call_later(delay, deliver)
-            yield sim.timeout(1.0 / UPDATE_HZ)
+            sim.call_later(delay, deliver)
+        return 1.0 / UPDATE_HZ
 
     errors = {"latest": [], "interpolation": [], "dead_reckoning": []}
 
     def prober():
-        while True:
-            yield sim.timeout(0.05)
-            true_pose = truth(sim.now)
-            if latest_state["state"] is not None:
-                errors["latest"].append(
-                    latest_state["state"].pose.distance_to(true_pose)
-                )
-            sample = buffer.sample(sim.now)
-            if sample is not None:
-                errors["interpolation"].append(sample.pose.distance_to(true_pose))
-            if reckoner.ready:
-                errors["dead_reckoning"].append(
-                    reckoner.predict(sim.now).distance_to(true_pose)
-                )
+        true_pose = truth(sim.now)
+        if latest_state["state"] is not None:
+            errors["latest"].append(
+                latest_state["state"].pose.distance_to(true_pose)
+            )
+        sample = buffer.sample(sim.now)
+        if sample is not None:
+            errors["interpolation"].append(sample.pose.distance_to(true_pose))
+        if reckoner.ready:
+            errors["dead_reckoning"].append(
+                reckoner.predict(sim.now).distance_to(true_pose)
+            )
+        return 0.05
 
-    sim.process(sender())
-    sim.process(prober())
+    sim.every(float("inf"), sender)
+    sim.call_later(0.05, lambda: sim.every(float("inf"), prober))
     sim.run(until=DURATION)
     return {
         policy: (float(np.mean(vals)), float(np.percentile(vals, 95)))

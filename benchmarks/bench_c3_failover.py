@@ -199,13 +199,17 @@ def run_reliable_outage_recovery(seed: int, duration: float,
         on_deliver=lambda payload: deliveries.append((sim.now, payload)),
     )
 
-    def source():
-        period = duration * 0.6 / chunks  # finish sending inside the horizon
-        for i in range(chunks):
-            rc.send(i, size_bytes=8000)
-            yield sim.timeout(period)
+    period = duration * 0.6 / chunks  # finish sending inside the horizon
+    payloads = iter(range(chunks))
 
-    sim.process(source())
+    def source():
+        i = next(payloads, None)
+        if i is None:
+            return None
+        rc.send(i, size_bytes=8000)
+        return period
+
+    sim.every(float("inf"), source)
     sim.run()
 
     outage_end = outage[1]

@@ -91,16 +91,16 @@ def run_one(n: int, managed: bool, duration: float = DURATION,
     for i in range(n):
         server.subscribe(f"u{i}", lambda snapshot: None)
 
-    def driver():
-        seqs = [0] * n
-        while True:
-            for i, trace in enumerate(traces):
-                state = AvatarState(f"u{i}", sim.now, trace(sim.now), seq=seqs[i])
-                server.ingest(ClientUpdate(f"u{i}", state, seqs[i]))
-                seqs[i] += 1
-            yield sim.timeout(0.05)
+    seqs = [0] * n
 
-    sim.process(driver())
+    def driver():
+        for i, trace in enumerate(traces):
+            state = AvatarState(f"u{i}", sim.now, trace(sim.now), seq=seqs[i])
+            server.ingest(ClientUpdate(f"u{i}", state, seqs[i]))
+            seqs[i] += 1
+        return 0.05
+
+    sim.every(float("inf"), driver)
     server.run(duration=duration)
     sim.run(until=duration)
     tick_cost = server.metrics.tracker("tick_cost").summary()

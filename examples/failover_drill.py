@@ -36,12 +36,11 @@ def main() -> None:
     timeline = []
 
     def probe():
-        while True:
-            yield sim.timeout(1.0)
-            timeline.append((sim.now, staleness_snapshot(deployment),
-                             len(deployment._failed_pairs) > 0))
+        timeline.append((sim.now, staleness_snapshot(deployment),
+                         len(deployment._failed_pairs) > 0))
+        return 1.0
 
-    sim.process(probe())
+    sim.call_later(1.0, lambda: sim.every(float("inf"), probe))
     sim.call_later(6.0, lambda: deployment.fail_backbone("cwb", "gz"))
     sim.call_later(14.0, lambda: deployment.restore_backbone("cwb", "gz"))
     deployment.run(duration=20.0)

@@ -7,6 +7,8 @@ tick capacity, and the per-client bandwidth the sync tier must provision.
 Run:  python examples/world_scale_seminar.py
 """
 
+import itertools
+
 import numpy as np
 
 from repro.cloud.regions import plan_regions, single_server_plan
@@ -60,15 +62,18 @@ def main() -> None:
         server.subscribe(f"u{i}", lambda snapshot: None)
 
     def publisher(i, trace):
-        seq = 0
-        while True:
+        seqs = itertools.count()
+
+        def publish():
+            seq = next(seqs)
             state = AvatarState(f"u{i}", sim.now, trace(sim.now), seq=seq)
             server.ingest(ClientUpdate(f"u{i}", state, seq))
-            seq += 1
-            yield sim.timeout(0.05)
+            return 0.05
+
+        return publish
 
     for i, trace in enumerate(traces):
-        sim.process(publisher(i, trace))
+        sim.every(float("inf"), publisher(i, trace))
     server.run(duration=5.0)
     sim.run(until=5.0)
     egress = server.egress_bytes_per_client_s(5.0)

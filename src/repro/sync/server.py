@@ -275,7 +275,7 @@ class SyncServer:
             and process.is_alive
             and self.sim.active_process is not process
         ):
-            process.interrupt("server crash")
+            process.interrupt()
 
     def stop(self) -> None:
         """Gracefully end the current run loop (the decommission path).
@@ -293,7 +293,7 @@ class SyncServer:
             and process.is_alive
             and self.sim.active_process is not process
         ):
-            process.interrupt("server stop")
+            process.interrupt()
 
     def restart(self) -> None:
         """Come back up with empty memory (world and delta state died).

@@ -15,6 +15,7 @@ JSON file.
 """
 
 import hashlib
+import itertools
 import json
 from functools import partial
 from pathlib import Path
@@ -103,31 +104,33 @@ def run_churn(seed, keyframe_interval, broadcast=False):
     seqs = {pid: -1 for pid in entity_ids}
     epochs = {pid: 0 for pid in entity_ids}
 
-    def driver():
-        step = 0
-        while sim.now < 1.95:
-            for pid in entity_ids:
-                if rng.random() < 0.7:
-                    seqs[pid] += 1
-                    server.ingest(ClientUpdate(
-                        pid,
-                        _random_state(rng, pid, sim.now, seqs[pid],
-                                      epochs[pid],
-                                      joints=rng.random() < 0.25),
-                        seqs[pid]))
-            if step == 12:
-                server.unsubscribe("c1")
-            if step == 20:
-                server.subscribe("c1", capture("c1"))
-                server.subscribe("c3", capture("c3"))
-            if step == 16:
-                server.world.remove("e3")
-                epochs["e3"] += 1
-                seqs["e3"] = -1
-            step += 1
-            yield sim.timeout(0.05)
+    steps = itertools.count()
 
-    sim.process(driver())
+    def driver():
+        if sim.now >= 1.95:
+            return None
+        step = next(steps)
+        for pid in entity_ids:
+            if rng.random() < 0.7:
+                seqs[pid] += 1
+                server.ingest(ClientUpdate(
+                    pid,
+                    _random_state(rng, pid, sim.now, seqs[pid],
+                                  epochs[pid],
+                                  joints=rng.random() < 0.25),
+                    seqs[pid]))
+        if step == 12:
+            server.unsubscribe("c1")
+        if step == 20:
+            server.subscribe("c1", capture("c1"))
+            server.subscribe("c3", capture("c3"))
+        if step == 16:
+            server.world.remove("e3")
+            epochs["e3"] += 1
+            seqs["e3"] = -1
+        return 0.05
+
+    sim.every(float("inf"), driver)
     server.run(duration=2.0)
     sim.run()
     assert all(received.values())
@@ -148,16 +151,17 @@ def run_failover(seed=7, duration=4.0):
         seqs = {}
 
         def driver(server=server, rng=rng, seqs=seqs):
-            while sim.now < duration - 1e-9:
-                for i in range(4):
-                    pid = f"{server.name}-bg{i}"
-                    seqs[pid] = seqs.get(pid, -1) + 1
-                    server.ingest(ClientUpdate(
-                        pid, _random_state(rng, pid, sim.now, seqs[pid]),
-                        seqs[pid]))
-                yield sim.timeout(0.05)
+            if sim.now >= duration - 1e-9:
+                return None
+            for i in range(4):
+                pid = f"{server.name}-bg{i}"
+                seqs[pid] = seqs.get(pid, -1) + 1
+                server.ingest(ClientUpdate(
+                    pid, _random_state(rng, pid, sim.now, seqs[pid]),
+                    seqs[pid]))
+            return 0.05
 
-        sim.process(driver())
+        sim.every(float("inf"), driver)
         server.run(duration=duration)
         servers[name] = server
 

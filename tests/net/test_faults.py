@@ -232,15 +232,19 @@ def _faulty_link_scenario(seed):
         mean_extra_delay=0.05))
     arrivals = []
 
-    def source():
-        for i in range(400):
-            link.send(
-                Packet(src="a", dst="b", size_bytes=400, payload=i),
-                lambda p: arrivals.append((round(sim.now, 9), p.payload)),
-            )
-            yield sim.timeout(0.05)
+    payloads = iter(range(400))
 
-    sim.process(source())
+    def source():
+        i = next(payloads, None)
+        if i is None:
+            return None
+        link.send(
+            Packet(src="a", dst="b", size_bytes=400, payload=i),
+            lambda p: arrivals.append((round(sim.now, 9), p.payload)),
+        )
+        return 0.05
+
+    sim.every(float("inf"), source)
     sim.run()
     stats = link.stats
     return "\n".join([

@@ -26,18 +26,21 @@ def test_link_sojourn_matches_mm1(rho):
     rng = sim.rng.stream("arrivals")
     sojourns = []
 
-    def source():
-        for _ in range(20_000):
-            size = max(1, int(rng.exponential(mean_size)))
-            packet = Packet(src="a", dst="b", size_bytes=size,
-                            created_at=sim.now)
-            link.send(
-                packet,
-                lambda p: sojourns.append(sim.now - p.created_at),
-            )
-            yield sim.timeout(float(rng.exponential(1.0 / lam)))
+    arrivals = iter(range(20_000))
 
-    sim.process(source())
+    def source():
+        if next(arrivals, None) is None:
+            return None
+        size = max(1, int(rng.exponential(mean_size)))
+        packet = Packet(src="a", dst="b", size_bytes=size,
+                        created_at=sim.now)
+        link.send(
+            packet,
+            lambda p: sojourns.append(sim.now - p.created_at),
+        )
+        return float(rng.exponential(1.0 / lam))
+
+    sim.every(float("inf"), source)
     sim.run()
     measured = float(np.mean(sojourns))
     theory = 1.0 / (mu - lam)
@@ -54,12 +57,15 @@ def test_utilization_matches_offered_load():
     rho = 0.5
     mu = rate_bps / 8.0 / 1000.0
 
-    def source():
-        for _ in range(5_000):
-            size = max(1, int(rng.exponential(1000.0)))
-            link.send(Packet(src="a", dst="b", size_bytes=size), lambda p: None)
-            yield sim.timeout(float(rng.exponential(1.0 / (rho * mu))))
+    arrivals = iter(range(5_000))
 
-    sim.process(source())
+    def source():
+        if next(arrivals, None) is None:
+            return None
+        size = max(1, int(rng.exponential(1000.0)))
+        link.send(Packet(src="a", dst="b", size_bytes=size), lambda p: None)
+        return float(rng.exponential(1.0 / (rho * mu)))
+
+    sim.every(float("inf"), source)
     sim.run()
     assert link.utilization() == pytest.approx(rho, rel=0.1)

@@ -148,12 +148,16 @@ def test_reliable_transfer_completes_across_link_outage():
     rc = ReliableChannel(sim, topo.channel("a", "b"), topo.channel("b", "a"),
                          "a", "b", on_deliver=got.append)
 
-    def source():
-        for i in range(40):
-            rc.send(i, size_bytes=1200)
-            yield sim.timeout(0.05)  # the outage bisects the transfer
+    payloads = iter(range(40))
 
-    sim.process(source())
+    def source():
+        i = next(payloads, None)
+        if i is None:
+            return None
+        rc.send(i, size_bytes=1200)
+        return 0.05  # the outage bisects the transfer
+
+    sim.every(float("inf"), source)
     sim.run()
     assert got == list(range(40))
     assert rc.failed == 0

@@ -56,18 +56,14 @@ class ConsistencyProbe:
         if expected_pairs:
             self.visibility_samples.append(visible_pairs / expected_pairs)
 
-    def run(self, duration: float, warmup: float = 1.0):
+    def run(self, duration: float, warmup: float = 1.0) -> None:
         """Periodic probing process; skips ``warmup`` seconds of joins."""
 
         def step():
             self.probe_once()
             return self.interval
 
-        def body():
-            yield self.sim.timeout(warmup)
-            yield self.sim.every(duration, step)
-
-        return self.sim.process(body())
+        self.sim.call_later(warmup, lambda: self.sim.every(duration, step))
 
     def mean_visibility(self) -> float:
         """Average fraction of (observer, entity) pairs actually visible."""

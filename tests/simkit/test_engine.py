@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.simkit import Simulator
-from repro.simkit.errors import SimkitError
+import repro.simkit
+from repro.simkit import SimkitError, Simulator
 
 
 def test_clock_starts_at_zero():
@@ -13,7 +13,7 @@ def test_clock_starts_at_zero():
 
 def test_timeout_advances_clock():
     sim = Simulator()
-    sim.timeout(2.5)
+    sim.call_later(2.5, lambda: None)
     sim.run()
     assert sim.now == 2.5
 
@@ -74,39 +74,6 @@ def test_step_on_empty_schedule_raises():
         sim.step()
 
 
-def test_peek():
-    sim = Simulator()
-    assert sim.peek() == float("inf")
-    sim.timeout(4.0)
-    assert sim.peek() == 4.0
-
-
-def test_negative_timeout_rejected():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        sim.timeout(-1.0)
-
-
-def test_run_process_returns_value():
-    sim = Simulator()
-
-    def body(sim):
-        yield sim.timeout(1.0)
-        return 42
-
-    assert sim.run_process(body(sim)) == 42
-
-
-def test_run_process_unfinished_raises():
-    sim = Simulator()
-
-    def body(sim):
-        yield sim.timeout(100.0)
-
-    with pytest.raises(SimkitError):
-        sim.run_process(body(sim), until=1.0)
-
-
 def test_rng_streams_reproducible():
     a = Simulator(seed=123).rng.stream("x").random(5)
     b = Simulator(seed=123).rng.stream("x").random(5)
@@ -142,7 +109,7 @@ def test_every_none_stops_the_process():
     proc = sim.every(10.0, step)
     sim.run()
     assert calls == [0.0, 0.5, 1.0]
-    assert proc.ok
+    assert not proc.is_alive
     assert sim.now == 1.0
 
 
@@ -160,7 +127,7 @@ def test_every_interrupt_ends_it_cleanly():
     sim.call_later(2.5, proc.interrupt)
     sim.run()
     assert calls == [0.0, 1.0, 2.0]
-    assert proc.ok
+    assert not proc.is_alive
     assert ended == [2.5]
     assert sim.now == 2.5
 
@@ -180,3 +147,54 @@ def test_every_counts_steps_through_float_drift():
     assert len(calls) == 40
     assert calls[-1] < 2.0
     assert not proc.is_alive
+
+
+class CountingSimulator(Simulator):
+    """Counts processed entries the way a profiler hooked on ``step`` does."""
+
+    def __init__(self):
+        super().__init__()
+        self.steps = 0
+
+    def step(self):
+        self.steps += 1
+        super().step()
+
+
+def test_same_instant_order_of_loop_entries():
+    sim = CountingSimulator()
+    log = []
+
+    def step():
+        log.append(("step", sim.now))
+        return 0.25
+
+    def start():
+        log.append("start")
+        loop = sim.every(0.5, step)
+        loop.callbacks.append(lambda _loop: log.append(("finish", sim.now)))
+
+    sim.call_later(1.0, start)
+    sim.call_later(1.0, lambda: log.append("scheduled earlier"))
+    sim.call_later(1.5, lambda: log.append(("normal", 1.5)))
+    sim.run()
+    # The urgent bootstrap overtakes a normal entry scheduled earlier for
+    # its instant; the finish entry follows the wake that ends the loop.
+    assert log == ["start", ("step", 1.0), "scheduled earlier",
+                   ("step", 1.25), ("normal", 1.5), ("finish", 1.5)]
+    # 3 calls, the bootstrap, 2 wakes and the finish entry.
+    assert sim.steps == 7
+
+    sleeper = sim.every(float("inf"), lambda: 10.0)
+    sim.call_later(1.0, sleeper.interrupt)
+    sim.steps = 0
+    sim.run()
+    # Bootstrap, the interrupting call, the interrupt and the finish: the
+    # unscheduled wake at 11.5 neither counts nor moves the clock.
+    assert sim.steps == 4
+    assert sim.now == 2.5
+    assert not sleeper.is_alive
+
+
+def test_public_surface():
+    assert repro.simkit.__all__ == ["RngRegistry", "SimkitError", "Simulator"]

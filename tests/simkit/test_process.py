@@ -1,173 +1,78 @@
-"""Unit tests for generator processes."""
+"""Unit tests for the handle of a periodic loop (``Simulator.every``)."""
 
 import pytest
 
-from repro.simkit import Simulator
-from repro.simkit.errors import Interrupt, SimkitError, StopProcess
-
-
-def test_process_runs_and_returns():
-    sim = Simulator()
-
-    def body(sim):
-        yield sim.timeout(1.0)
-        yield sim.timeout(2.0)
-        return "done"
-
-    proc = sim.process(body(sim))
-    sim.run()
-    assert sim.now == 3.0
-    assert proc.ok
-    assert proc.value == "done"
-
-
-def test_timeout_value_delivered_to_process():
-    sim = Simulator()
-
-    def body(sim):
-        got = yield sim.timeout(1.0, value="hello")
-        return got
-
-    assert sim.run_process(body(sim)) == "hello"
-
-
-def test_process_waits_on_process():
-    sim = Simulator()
-
-    def child(sim):
-        yield sim.timeout(2.0)
-        return 7
-
-    def parent(sim):
-        value = yield sim.process(child(sim))
-        return value * 2
-
-    assert sim.run_process(parent(sim)) == 14
+from repro.simkit import SimkitError, Simulator
 
 
 def test_exception_in_process_surfaces():
-    sim = Simulator()
-
-    def body(sim):
-        yield sim.timeout(1.0)
-        raise RuntimeError("kaboom")
-
-    sim.process(body(sim))
-    with pytest.raises(RuntimeError, match="kaboom"):
-        sim.run()
-
-
-def test_waiting_parent_sees_child_exception():
-    sim = Simulator()
-
-    def child(sim):
-        yield sim.timeout(1.0)
-        raise ValueError("child died")
-
-    def parent(sim):
-        try:
-            yield sim.process(child(sim))
-        except ValueError as exc:
-            return f"handled: {exc}"
-
-    assert sim.run_process(parent(sim)) == "handled: child died"
-
-
-def test_yield_non_event_fails_process():
-    sim = Simulator()
-
-    def body(sim):
-        yield 42
-
-    proc = sim.process(body(sim))
-    with pytest.raises(SimkitError):
-        sim.run()
-    assert proc.triggered and not proc.ok
+    # A failing step ends the loop: its finish callbacks run (so an owner
+    # releases its running flag) before the error leaves ``run()``.
+    for step, error in ((lambda: 1 / 0, ZeroDivisionError),
+                        (lambda: -1.0, ValueError)):
+        sim = Simulator()
+        ended = []
+        loop = sim.every(10.0, step)
+        loop.callbacks.append(lambda _loop: ended.append(sim.now))
+        with pytest.raises(error):
+            sim.run()
+        assert ended == [0.0]
+        assert not loop.is_alive
+    with pytest.raises(ValueError):
+        Simulator().call_later(-1.0, lambda: None)
 
 
 def test_interrupt_wakes_a_sleeper():
     sim = Simulator()
-
-    def sleeper(sim):
-        try:
-            yield sim.timeout(100.0)
-            return "overslept"
-        except Interrupt as interrupt:
-            return ("woken", interrupt.cause, sim.now)
-
-    def alarm(sim, proc):
-        yield sim.timeout(3.0)
-        proc.interrupt(cause="alarm")
-
-    proc = sim.process(sleeper(sim))
-    sim.process(alarm(sim, proc))
+    sleeper = sim.every(float("inf"), lambda: 100.0)
+    ended = []
+    sleeper.callbacks.append(lambda _loop: ended.append(sim.now))
+    sim.call_later(3.0, sleeper.interrupt)
     sim.run()
-    assert proc.value == ("woken", "alarm", 3.0)
+    assert ended == [3.0]
+    assert sim.now == 3.0
 
 
 def test_interrupt_finished_process_rejected():
     sim = Simulator()
-
-    def body(sim):
-        yield sim.timeout(1.0)
-
-    proc = sim.process(body(sim))
+    loop = sim.every(1.0, lambda: 0.5)
     sim.run()
     with pytest.raises(SimkitError):
-        proc.interrupt()
+        loop.interrupt()
 
 
 def test_self_interrupt_rejected():
     sim = Simulator()
+    seen = []
 
-    def body(sim):
+    def step():
         me = sim.active_process
         with pytest.raises(SimkitError):
             me.interrupt()
-        yield sim.timeout(1.0)
+        seen.append(me)
+        return 1.0
 
-    sim.run_process(body(sim))
-
-
-def test_stop_process_exception_finishes_with_value():
-    sim = Simulator()
-
-    def helper():
-        raise StopProcess("early")
-
-    def body(sim):
-        yield sim.timeout(1.0)
-        helper()
-        yield sim.timeout(1.0)  # pragma: no cover
-
-    assert sim.run_process(body(sim)) == "early"
-
-
-def test_yield_already_processed_event_continues_immediately():
-    sim = Simulator()
-    done = sim.timeout(1.0, value="past")
+    loop = sim.every(2.0, step)
     sim.run()
-
-    def body(sim):
-        value = yield done
-        return (value, sim.now)
-
-    assert sim.run_process(body(sim)) == ("past", 1.0)
+    assert seen == [loop, loop]
+    assert sim.active_process is None
 
 
 def test_is_alive():
     sim = Simulator()
-
-    def body(sim):
-        yield sim.timeout(5.0)
-
-    proc = sim.process(body(sim))
-    assert proc.is_alive
+    loop = sim.every(5.0, lambda: 5.0)
+    assert loop.is_alive
     sim.run()
-    assert not proc.is_alive
+    assert not loop.is_alive
 
 
-def test_non_generator_rejected():
+def test_interrupt_before_the_first_step():
+    # The pending bootstrap is unscheduled like a wake: no step runs, the
+    # finish callbacks do, and the kernel stays usable.
     sim = Simulator()
-    with pytest.raises(TypeError):
-        sim.process(lambda: None)
+    calls, ended = [], []
+    loop = sim.every(5.0, lambda: calls.append(sim.now) or 1.0)
+    loop.callbacks.append(lambda _loop: ended.append(sim.now))
+    loop.interrupt()
+    sim.run()
+    assert (calls, ended, sim.now) == ([], [0.0], 0.0)

@@ -50,11 +50,10 @@ def test_add_site_mid_run_federates_and_wind_down_together():
     service.start(duration)
 
     def grow():
-        yield sim.timeout(2.0)
         service.add_site("s1")
         service.move_user("u01", "s1")
 
-    sim.process(grow())
+    sim.call_later(2.0, grow)
     sim.run()
 
     # The run ended at the horizon even though s1 joined late: its tick
@@ -108,11 +107,10 @@ def test_drain_site_moves_everyone_and_stops_relays():
     service.start(duration)
 
     def shrink():
-        yield sim.timeout(2.0)
         drained = service.drain_site("s1")
         assert drained == ["u01", "u03"]
 
-    sim.process(shrink())
+    sim.call_later(2.0, shrink)
     sim.run()
 
     assert sorted(service.shards) == ["s0"]

@@ -1,5 +1,7 @@
 """Server crash/restart and client failover under injected faults."""
 
+import itertools
+
 import pytest
 
 from repro.avatar.state import AvatarState
@@ -21,21 +23,20 @@ def drive_world(sim, server, duration, n_others=3):
         for i in range(n_others)
     ]
 
-    def driver():
-        seq = 0
-        end = sim.now + duration
-        while sim.now < end - 1e-12:
-            for i, trace in enumerate(traces):
-                server.ingest(ClientUpdate(
-                    f"{server.name}-bg{i}",
-                    AvatarState(f"{server.name}-bg{i}", sim.now, trace(sim.now),
-                                seq=seq),
-                    seq,
-                ))
-            seq += 1
-            yield sim.timeout(0.05)
+    seqs = itertools.count()
 
-    sim.process(driver())
+    def driver():
+        seq = next(seqs)
+        for i, trace in enumerate(traces):
+            server.ingest(ClientUpdate(
+                f"{server.name}-bg{i}",
+                AvatarState(f"{server.name}-bg{i}", sim.now, trace(sim.now),
+                            seq=seq),
+                seq,
+            ))
+        return 0.05
+
+    sim.every(duration, driver)
 
 
 def delayed_path(sim, migratable_holder, server, delay=0.02):

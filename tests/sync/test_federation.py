@@ -218,15 +218,19 @@ def test_ingest_local_federates_server_side_entities():
         federated.client.run(2.0)
     service.start(3.0)
 
-    def npc_driver():
-        for seq in range(30):
-            state = AvatarState("npc-board", sim.now,
-                                Pose(position=np.array([1.0, 1.0, 1.5])),
-                                seq=seq)
-            service.ingest_local("s0", ClientUpdate("npc-board", state, seq))
-            yield sim.timeout(0.05)
+    seqs = iter(range(30))
 
-    sim.process(npc_driver())
+    def npc_driver():
+        seq = next(seqs, None)
+        if seq is None:
+            return None
+        state = AvatarState("npc-board", sim.now,
+                            Pose(position=np.array([1.0, 1.0, 1.5])),
+                            seq=seq)
+        service.ingest_local("s0", ClientUpdate("npc-board", state, seq))
+        return 0.05
+
+    sim.every(float("inf"), npc_driver)
     sim.run()
     # The instructor-side entity reached the client homed on the *other*
     # shard through the relay.

@@ -43,7 +43,6 @@ def _run(seed):
     log = {}
 
     def chaos():
-        yield sim.timeout(CHAOS_AT)
         mover = sorted(service.clients)[0]
         home = service.clients[mover].home
         target = next(s for s in sorted(service.shards) if s != home)
@@ -56,7 +55,7 @@ def _run(seed):
         service.rebalance(exclude=(excluded,))
         log["mover"], log["excluded"] = mover, excluded
 
-    sim.process(chaos())
+    sim.call_later(CHAOS_AT, chaos)
     sim.run()
     return service, log
 

@@ -213,11 +213,7 @@ def test_server_running_flag_resets_after_interrupt():
     server = SyncServer(sim, tick_rate_hz=20.0)
     proc = server.run(duration=10.0)
 
-    def stop():
-        proc.interrupt("migration")
-        proc.defused = True
-
-    sim.call_later(1.0, stop)
+    sim.call_later(1.0, proc.interrupt)
     sim.run(until=2.0)
     assert not proc.is_alive
     server.run(duration=1.0)  # retry does not raise "already running"

@@ -327,23 +327,24 @@ def test_egress_per_client_uses_time_averaged_subscribers():
     for cid in client_ids:
         server.subscribe(cid, lambda snapshot: None)
 
+    seqs = {cid: -1 for cid in client_ids}
+
     def driver():
-        seqs = {cid: -1 for cid in client_ids}
-        while sim.now < 3.95:
-            for cid in client_ids:
-                seqs[cid] += 1
-                server.ingest(ClientUpdate(
-                    cid, _random_state(rng, cid, sim.now, seqs[cid]),
-                    seqs[cid]))
-            yield sim.timeout(0.05)
+        if sim.now >= 3.95:
+            return None
+        for cid in client_ids:
+            seqs[cid] += 1
+            server.ingest(ClientUpdate(
+                cid, _random_state(rng, cid, sim.now, seqs[cid]),
+                seqs[cid]))
+        return 0.05
 
     def churn():
-        yield sim.timeout(2.0)
         for cid in client_ids[1:]:
             server.unsubscribe(cid)
 
-    sim.process(driver())
-    sim.process(churn())
+    sim.every(float("inf"), driver)
+    sim.call_later(2.0, churn)
     server.run(duration=4.0)
     sim.run()
     sent = server.metrics.counter("snapshot_bytes")
@@ -387,30 +388,29 @@ def test_epoch_rejoin_through_cross_shard_ghosts():
     service.add_client("u01")                    # s1 subscriber => digests
 
     def publish(epoch, start, count):
+        seqs = iter(range(count))
+
         def body():
-            for seq in range(count):
-                state = AvatarState(
-                    "u00", sim.now,
-                    Pose(position=[1.0 + 0.1 * seq + epoch, 0.0, 1.2]),
-                    seq=seq, epoch=epoch)
-                service.route_update("u00", ClientUpdate("u00", state, seq))
-                yield sim.timeout(0.05)
+            seq = next(seqs, None)
+            if seq is None:
+                return None
+            state = AvatarState(
+                "u00", sim.now,
+                Pose(position=[1.0 + 0.1 * seq + epoch, 0.0, 1.2]),
+                seq=seq, epoch=epoch)
+            service.route_update("u00", ClientUpdate("u00", state, seq))
+            return 0.05
 
-        def arm():
-            yield sim.timeout(start)
-            yield from body()
-
-        sim.process(arm())
+        sim.call_later(start, lambda: sim.every(float("inf"), body))
 
     publish(epoch=0, start=0.0, count=20)        # first session, homed s0
     service.start(6.0)
 
     def crash_and_rehome():
-        yield sim.timeout(2.5)
         service.shards["s0"].crash()
         service.home["u00"] = "s1"               # rejoin lands on s1
 
-    sim.process(crash_and_rehome())
+    sim.call_later(2.5, crash_and_rehome)
     publish(epoch=1, start=3.0, count=10)        # reset seq, bumped epoch
     sim.run()
     ghost = service.shards["s1"].world.entities["u00"]
