@@ -74,6 +74,12 @@ def test_step_on_empty_schedule_raises():
         sim.step()
 
 
+def test_negative_timeout_rejected():
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        sim.call_later(-1.0, lambda: None)
+
+
 def test_rng_streams_reproducible():
     a = Simulator(seed=123).rng.stream("x").random(5)
     b = Simulator(seed=123).rng.stream("x").random(5)

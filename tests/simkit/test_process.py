@@ -18,8 +18,6 @@ def test_exception_in_process_surfaces():
             sim.run()
         assert ended == [0.0]
         assert not loop.is_alive
-    with pytest.raises(ValueError):
-        Simulator().call_later(-1.0, lambda: None)
 
 
 def test_interrupt_wakes_a_sleeper():
