@@ -20,6 +20,8 @@ from repro.content.privacy import OverlayRequest, PrivacyDecision, PrivacyPolicy
 
 N_MINTS = 2000
 N_OVERLAYS = 5000
+#: Timed ledger passes; one pass is ~25 ms, so the headline is their median.
+LEDGER_PASSES = 7
 
 
 def run_ledger():
@@ -93,6 +95,7 @@ def test_c4_privacy_filtering(benchmark):
 
 def main(argv=None):
     import argparse
+    import statistics
     import time
 
     from benchmarks._emit import (
@@ -110,10 +113,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     tracer = wall_tracer() if args.trace else None
 
-    started = time.perf_counter()
+    pass_ops_s = []
     with wall_phase(tracer, "ledger"):
-        run_ledger()
-    ledger_ops_s = (N_MINTS + N_MINTS // 2) / (time.perf_counter() - started)
+        for _ in range(LEDGER_PASSES):
+            started = time.perf_counter()
+            run_ledger()
+            pass_ops_s.append(
+                (N_MINTS + N_MINTS // 2) / (time.perf_counter() - started))
+    ledger_ops_s = statistics.median(pass_ops_s)
 
     overlays = build_overlays(np.random.default_rng(4))
     policy = PrivacyPolicy()
@@ -127,6 +134,7 @@ def main(argv=None):
     path = write_bench_json(
         "c4", "ledger_ops_per_s", ledger_ops_s, "ops/s",
         params={"mints": N_MINTS, "overlays": N_OVERLAYS,
+                "ledger_passes": LEDGER_PASSES,
                 "violation_recall": recall, "decisions": counts},
         stages=stages)
     print(f"ledger {ledger_ops_s:,.0f} ops/s, privacy recall {recall:.0%}; "

@@ -211,7 +211,7 @@ class AdaptationController:
     def rung_name(self, client: str) -> str:
         return self.ladder[self._clients[client].rung].name
 
-    def exposure_for(self, client: str) -> ExposureConfig:
+    def exposure_for(self, client: str) -> ExposureConfig:  # replint: ignore[ARCH003] -- test observer of a client's mitigated exposure
         """The client's exposure after its rung's mitigations."""
         control = self._clients[client]
         if control.exposure is None:

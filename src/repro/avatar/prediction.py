@@ -13,9 +13,8 @@ from repro.sensing.pose import Pose
 class DeadReckoner:
     """First/second-order extrapolation from recent pose history.
 
-    Senders use the same model to suppress redundant updates: if the
-    receiver's prediction is within ``threshold`` of truth, the update may
-    be skipped (``should_send``), the classic DIS dead-reckoning protocol.
+    Receivers extrapolate a remote avatar between updates with it, as in
+    the classic DIS dead-reckoning protocol.
     """
 
     def __init__(self, use_acceleration: bool = False, history: int = 4):
@@ -62,9 +61,3 @@ class DeadReckoner:
     def error(self, time: float, truth: Pose) -> float:
         """Distance between prediction and ground truth at ``time``."""
         return self.predict(time).distance_to(truth)
-
-    def should_send(self, time: float, truth: Pose, threshold: float) -> bool:
-        """Sender-side suppression: send only when prediction drifts."""
-        if self._last_pose is None or not self.ready:
-            return True
-        return self.error(time, truth) > threshold

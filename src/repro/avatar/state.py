@@ -65,7 +65,3 @@ class AvatarState:
         new.epoch = self.epoch
         new.meta = dict(self.meta)
         return new
-
-    def position_error(self, other: "AvatarState") -> float:
-        """Root position divergence from another state (metres)."""
-        return self.pose.distance_to(other.pose)

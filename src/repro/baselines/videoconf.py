@@ -20,7 +20,6 @@ class VideoConferencePlatform:
     uplink_bps: float = 1.5e6
     downlink_budget_bps: float = 8e6
     max_tiles: int = 25
-    sfu_forward_delay: float = 0.015
     codec: VideoCodecModel = VideoCodecModel()
 
     def __post_init__(self):
@@ -46,16 +45,3 @@ class VideoConferencePlatform:
         """Delivered per-tile video quality index (codec R-D curve)."""
         bps = self.per_tile_bps(n_participants)
         return self.codec.quality(bps)
-
-    def downlink_bps(self, n_participants: int) -> float:
-        return self.per_tile_bps(n_participants) * self.visible_tiles(n_participants)
-
-    def sfu_egress_bps(self, n_participants: int) -> float:
-        """Total SFU egress for the whole class."""
-        return self.downlink_bps(n_participants) * n_participants
-
-    def one_way_latency(self, client_rtt_to_sfu: float) -> float:
-        """Speaker to listener: two half-RTTs plus SFU forwarding."""
-        if client_rtt_to_sfu < 0:
-            raise ValueError("rtt must be >= 0")
-        return client_rtt_to_sfu + self.sfu_forward_delay

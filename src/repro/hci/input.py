@@ -37,7 +37,7 @@ class InputModality:
             raise ValueError("activation must be >= 0")
 
     @property
-    def effective_wpm(self) -> float:
+    def effective_wpm(self) -> float:  # replint: ignore[ARCH003] -- analytic rate the typing Monte Carlo is checked against
         """Throughput after re-entering erroneous words."""
         return self.words_per_minute * (1.0 - self.error_rate)
 

@@ -17,7 +17,7 @@ DET003    salted ``hash()``/``id()`` in ordering/spawn/replay paths
 DET004    unsorted set/dict-keys iteration in replay-sensitive code
 ARCH001   import edge missing from the declared layer table
 ARCH002   benchmark result emission bypassing ``benchmarks/_emit.py``
-ARCH003   public ``src/`` function or class that only tests use
+ARCH003   public ``src/`` function, class or class member only tests use
 ========  ==========================================================
 
 Suppress a deliberate exception inline, with a justification::

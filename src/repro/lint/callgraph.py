@@ -27,9 +27,10 @@ replay.
 
 The same pass builds ARCH003's use index, :attr:`ProjectIndex.referenced`:
 the set of names any linted file mentions outside a package re-export,
-an import line, or a top-level definition suppressed for ARCH003.  It
-is matched by bare name, so it errs the same safe way: one use of a
-name keeps every definition of that name alive.
+an import line, or a top-level definition or class member suppressed
+for ARCH003.  It is matched by bare name, so it errs the same safe way:
+one use of a name keeps every definition of that name alive, methods
+included.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from __future__ import annotations
 import ast
 import fnmatch
 from collections import deque
-from typing import TYPE_CHECKING, Dict, Iterator, List, Sequence, Set, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterator, List, Sequence, Set,
+                    Tuple, Union)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.engine import SourceFile
@@ -65,6 +67,7 @@ SINK_FUNCTION_NAMES: Tuple[str, ...] = (
 FuncKey = Tuple[str, str]  # (module, qualname)
 
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_Function = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 
 class FunctionInfo:
@@ -149,9 +152,10 @@ def _referenced_names(files: Sequence["SourceFile"]) -> Set[str]:
     Export lists are not uses: a package ``__init__.py`` is skipped, and
     so is a module's own ``__all__``.  A top-level definition's
     references to its own name (recursion, a method returning its
-    class) do not count as a use of it either.  Nor does anything a
-    top-level definition suppressed with ``ignore[ARCH003]`` mentions:
-    code kept only for tests keeps nothing else alive.
+    class) do not count as a use of it either, nor do a class member's
+    references to its own name.  Nor does anything a top-level
+    definition or class member suppressed with ``ignore[ARCH003]``
+    mentions: code kept only for tests keeps nothing else alive.
     """
     names: Set[str] = set()
     for file in files:
@@ -162,13 +166,33 @@ def _referenced_names(files: Sequence["SourceFile"]) -> Set[str]:
                     isinstance(target, ast.Name) and target.id == "__all__"
                     for target in stmt.targets):
                 continue
-            own = stmt.name if isinstance(stmt, _DEFINITIONS) else None
-            if own is not None and "ARCH003" in file.pragmas.get(
-                    stmt.lineno, ()):
+            if isinstance(stmt, _DEFINITIONS) and suppressed(file, stmt):
                 continue
-            names.update(name for node in ast.walk(stmt)
-                         for name in _references(node) if name != own)
+            own = {stmt.name} if isinstance(stmt, _DEFINITIONS) else set()
+            members = class_members(stmt)
+            names.update(name for child in ast.iter_child_nodes(stmt)
+                         if child not in members
+                         for node in ast.walk(child)
+                         for name in _references(node) if name not in own)
+            for member in members:
+                if not suppressed(file, member):
+                    names.update(name for node in ast.walk(member)
+                                 for name in _references(node)
+                                 if name not in own and name != member.name)
     return names
+
+
+def suppressed(file: "SourceFile", node: ast.stmt) -> bool:
+    """True when ``node``'s first line carries ``ignore[ARCH003]``."""
+    return "ARCH003" in file.pragmas.get(node.lineno, ())
+
+
+def class_members(node: ast.AST) -> List[_Function]:
+    """The methods and properties defined directly in a class body."""
+    if not isinstance(node, ast.ClassDef):
+        return []
+    return [member for member in node.body
+            if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))]
 
 
 class ProjectIndex:
@@ -189,6 +213,13 @@ class ProjectIndex:
         self._sensitive: Set[FuncKey] = self._compute_sensitive()
         #: Every name some linted file refers to (ARCH003's use index).
         self.referenced: Set[str] = _referenced_names(self.files)
+        #: bare name -> every top-level class of that name (ARCH003's
+        #: override check).
+        self.classes: Dict[str, List[ast.ClassDef]] = {}
+        for file in self.files:
+            for stmt in file.tree.body:
+                if isinstance(stmt, ast.ClassDef):
+                    self.classes.setdefault(stmt.name, []).append(stmt)
 
     # -- sensitivity -------------------------------------------------------
 

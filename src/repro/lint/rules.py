@@ -27,11 +27,12 @@ Architecture rules (the layering contract):
 * **ARCH002** — benchmarks emit results only through
   ``benchmarks/_emit.py``; no direct ``open(..., "w")`` / ``json.dump``
   / ``write_text`` in ``bench_*.py``.
-* **ARCH003** — every top-level public function or class in ``src/``
-  is used by some linted file.  A package re-export, a ``from ...
-  import`` line and a mention inside a definition that is itself
-  suppressed for ARCH003 are not uses.  ``tests/`` is never linted, so
-  code that only tests call is flagged.
+* **ARCH003** — every public top-level function or class in ``src/``,
+  and every public method or property of a top-level class, is used by
+  some linted file.  A package re-export, a ``from ... import`` line and
+  a mention inside a definition or member that is itself suppressed for
+  ARCH003 are not uses.  A member that overrides a base's is exempt.
+  ``tests/`` is never linted, so code that only tests call is flagged.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import ast
 import fnmatch
 from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
+from repro.lint.callgraph import class_members, suppressed
 from repro.lint.engine import (
     FileContext,
     Rule,
@@ -527,11 +529,44 @@ def _is_registered(node: _Definition) -> bool:
         for dec in node.decorator_list)
 
 
+def _base_name(base: ast.expr) -> Optional[str]:
+    """The bare name of a base-class expression (``Generic[T]`` ->
+    ``Generic``, ``enum.Enum`` -> ``Enum``)."""
+    if isinstance(base, ast.Subscript):
+        base = base.value
+    if isinstance(base, ast.Name):
+        return base.id
+    if isinstance(base, ast.Attribute):
+        return base.attr
+    return None
+
+
+def _overrides(classes: Dict[str, List[ast.ClassDef]], cls: ast.ClassDef,
+               name: str, seen: Set[str]) -> bool:
+    """True when member ``name`` of ``cls`` may override a base's: a
+    linted base class defines it, directly or through its own bases, or
+    some base comes from outside the linted files (``Exception``,
+    ``ast.NodeVisitor``), whose callers the use index cannot see."""
+    for base in cls.bases:
+        base_name = _base_name(base)
+        if base_name is None or base_name not in classes:
+            return True
+        if base_name in seen:
+            continue
+        seen.add(base_name)
+        for parent in classes[base_name]:
+            if (any(member.name == name for member in class_members(parent))
+                    or _overrides(classes, parent, name, seen)):
+                return True
+    return False
+
+
 @register
 class UnreferencedPublicRule(Rule):
     code = "ARCH003"
-    summary = ("public src/ function or class that only tests use: "
-               "imports, re-exports and suppressed code are not uses")
+    summary = ("public src/ function, class or class member that only "
+               "tests use: imports, re-exports and suppressed code are "
+               "not uses")
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         if not ctx.rel_path.startswith("src/"):
@@ -540,11 +575,23 @@ class UnreferencedPublicRule(Rule):
         for node in ctx.tree.body:
             if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                       ast.ClassDef))
-                    or node.name.startswith("_")
-                    or node.name in referenced or _is_registered(node)):
+                    or _is_registered(node)):
                 continue
-            yield self.violation(
-                ctx, node,
-                f"public {node.name!r} has no caller outside tests: "
-                "delete it, or keep deliberate API with a pragma and "
-                "its reason")
+            if not node.name.startswith("_") and node.name not in referenced:
+                yield self._unused(ctx, node, node.name)
+            if not isinstance(node, ast.ClassDef) or suppressed(ctx.file, node):
+                continue  # a suppressed class's pragma covers its members
+            for member in class_members(node):
+                if (member.name.startswith("_")
+                        or member.name in referenced
+                        or _overrides(ctx.project.classes, node, member.name,
+                                      set())):
+                    continue
+                yield self._unused(ctx, member, f"{node.name}.{member.name}")
+
+    def _unused(self, ctx: FileContext, node: ast.AST,
+                name: str) -> Violation:
+        return self.violation(
+            ctx, node,
+            f"public {name!r} has no caller outside tests: delete it, or "
+            "keep deliberate API with a pragma and its reason")

@@ -66,12 +66,6 @@ class VideoCodecModel:
             raise ValueError("bitrate must be >= 0")
         return 1.0 - math.exp(-bitrate_bps / self.r0_bps)
 
-    def bitrate_for_quality(self, quality: float) -> float:
-        """Inverse of :meth:`quality`."""
-        if not 0.0 <= quality < 1.0:
-            raise ValueError("quality must be in [0, 1)")
-        return -self.r0_bps * math.log(1.0 - quality)
-
     def frame_sizes(self, bitrate_bps: float) -> tuple:
         """(key bytes, delta bytes) so the GOP averages to the bitrate."""
         bytes_per_frame = bitrate_bps / 8.0 / self.fps

@@ -90,10 +90,6 @@ class PlayoutReport:
         return min(1.0, self.stall_total / max(1e-9, duration))
 
     @property
-    def skip_fraction(self) -> float:
-        return self.skipped / self.total
-
-    @property
     def mean_latency(self) -> float:
         if not self.latencies:
             return float("inf")

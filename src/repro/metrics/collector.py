@@ -131,15 +131,6 @@ class MetricsRegistry:
         return self._family(name, label_names, Gauge, "gauge",
                             help_text=help_text)
 
-    def histogram_family(
-        self, name: str, label_names: Sequence[str],
-        buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
-        help_text: str = "",
-    ) -> MetricFamily:
-        return self._family(
-            name, label_names, lambda n: Histogram(n, buckets), "histogram",
-            help_text=help_text)
-
     @property
     def families(self) -> Dict[str, MetricFamily]:
         return dict(self._families)

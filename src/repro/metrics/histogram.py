@@ -10,8 +10,8 @@ text-exposition export.
 
 :class:`MetricFamily` adds the labels dimension: one name, a fixed label
 schema, and one child metric per observed label-value combination —
-``registry.histogram_family("stage_latency", ("stage",))``
-``.labels(stage="uplink").observe(0.012)``.
+``registry.counter_family("drops", ("link",))``
+``.labels(link="wan").inc()``.
 """
 
 from __future__ import annotations

@@ -24,7 +24,6 @@ from repro.net.faults import (
 from repro.net.geo import GeoPoint, WORLD_CITIES, haversine_km
 from repro.net.latency import WanLatencyModel
 from repro.net.link import Link, LinkStats
-from repro.net.node import Node, connect
 from repro.net.packet import Packet
 from repro.net.topology import PathChannel, Site, Topology
 from repro.net.transport import ReliableChannel
@@ -42,7 +41,6 @@ __all__ = [
     "SpikeWindow",
     "Link",
     "LinkStats",
-    "Node",
     "Packet",
     "PathChannel",
     "ReliableChannel",
@@ -51,6 +49,5 @@ __all__ = [
     "WanLatencyModel",
     "WifiNetwork",
     "WORLD_CITIES",
-    "connect",
     "haversine_km",
 ]

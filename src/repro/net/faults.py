@@ -123,13 +123,6 @@ class LinkOutageSchedule:
             t = end + float(rng.exponential(mtbf))
         return cls(windows)
 
-    def is_down(self, t: float) -> bool:
-        return any(start <= t < end for start, end in self.windows)
-
-    @property
-    def total_downtime(self) -> float:
-        return sum(end - start for start, end in self.windows)
-
     def apply(self, sim: Simulator, link: Link,
               log: Optional[FaultLog] = None) -> None:
         """Arm the outage events against ``link`` (idempotent per call)."""
@@ -178,7 +171,7 @@ class GilbertElliottLoss:
         self._current_burst = 0
 
     @property
-    def stationary_bad(self) -> float:
+    def stationary_bad(self) -> float:  # replint: ignore[ARCH003] -- analytic loss rate the burst-loss tests check against
         """Long-run fraction of packets seeing the bad state."""
         denominator = self.p_good_bad + self.p_bad_good
         if denominator == 0.0:
@@ -186,7 +179,7 @@ class GilbertElliottLoss:
         return self.p_good_bad / denominator
 
     @property
-    def expected_loss_rate(self) -> float:
+    def expected_loss_rate(self) -> float:  # replint: ignore[ARCH003] -- analytic loss rate the burst-loss tests check against
         pi_bad = self.stationary_bad
         return pi_bad * self.loss_bad + (1.0 - pi_bad) * self.loss_good
 
@@ -214,7 +207,7 @@ class GilbertElliottLoss:
 
 
 @dataclass(frozen=True)
-class SpikeWindow:
+class SpikeWindow:  # replint: ignore[ARCH003] -- test-only, queued for deletion
     """One latency/jitter spike: active during ``[start, end)``."""
 
     start: float
@@ -229,7 +222,7 @@ class SpikeWindow:
             raise ValueError("spike magnitudes must be non-negative")
 
 
-class JitterSpikeSchedule:
+class JitterSpikeSchedule:  # replint: ignore[ARCH003] -- test-only, queued for deletion
     """Latency/jitter spike windows, pluggable as ``Link.delay_model``.
 
     During a window every packet picks up ``extra_delay`` seconds of
@@ -362,7 +355,7 @@ class FaultInjector:
     def burst_loss(self, link: Link, model: GilbertElliottLoss) -> GilbertElliottLoss:
         return model.attach(link)
 
-    def delay_spikes(self, link: Link,
+    def delay_spikes(self, link: Link,  # replint: ignore[ARCH003] -- test-only, queued for deletion
                      schedule: JitterSpikeSchedule) -> JitterSpikeSchedule:
         return schedule.attach(link)
 

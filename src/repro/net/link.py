@@ -101,12 +101,12 @@ class Link:
         return packet.size_bytes * 8.0 / self.rate_bps
 
     @property
-    def queued_bytes(self) -> int:
+    def queued_bytes(self) -> int:  # replint: ignore[ARCH003] -- test observer of the transmit queue
         """Bytes waiting for the transmitter (excludes the packet in service)."""
         return self._queued_bytes
 
     @property
-    def in_flight(self) -> int:
+    def in_flight(self) -> int:  # replint: ignore[ARCH003] -- test observer of the transmit queue
         """Packets accepted by the transmitter but not yet resolved."""
         return self._in_flight
 

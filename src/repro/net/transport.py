@@ -86,7 +86,7 @@ class ReliableChannel:
         return self._rto
 
     @property
-    def dead_pending(self) -> int:
+    def dead_pending(self) -> int:  # replint: ignore[ARCH003] -- test observer of abandoned packets
         """Dead sequences the receiver has not yet confirmed skipping."""
         return len(self._dead)
 

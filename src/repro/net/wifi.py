@@ -112,12 +112,3 @@ class WifiNetwork:
         self.stats.delivered += 1
         self.sim.call_later(elapsed, lambda: deliver(packet))
         return True
-
-    def expected_frame_latency(self, size_bytes: int) -> float:
-        """Analytic expected latency for a frame on an idle medium."""
-        p = self.collision_probability()
-        mean_backoff = (self.cw_min - 1) / 2.0 * SLOT_TIME
-        per_attempt = DIFS + mean_backoff + FRAME_OVERHEAD + size_bytes * 8.0 / self.rate_bps
-        # Geometric number of attempts with success probability (1 - p).
-        expected_attempts = 1.0 / max(1e-9, 1.0 - p)
-        return per_attempt * expected_attempts

@@ -250,10 +250,6 @@ class MotionToPhotonHarness:
             self.probes.append(probe)
             self.server.subscribe(user_id, probe.on_snapshot)
 
-    @property
-    def n_probes(self) -> int:
-        return len(self.probes)
-
     def run(self, duration: float, drain: float = 1.0) -> None:
         """Emit probe samples for ``duration``, then drain in-flight traces.
 

@@ -174,7 +174,7 @@ class MotionToPhotonReport:
 
     # -- fault correlation -----------------------------------------------------
 
-    def correlate_faults(self, fault_log) -> Dict[int, List[str]]:
+    def correlate_faults(self, fault_log) -> Dict[int, List[str]]:  # replint: ignore[ARCH003] -- pinned by tests/golden/mtp_report.json
         """Tag traces overlapping injected-fault windows.
 
         Mutates each overlapping :class:`TraceSummary`'s ``faults`` list

@@ -248,10 +248,6 @@ class SloEngine:
                       listener: Callable[[SloTransition], None]) -> None:
         self._listeners.append(listener)
 
-    @property
-    def specs(self) -> List[SloSpec]:
-        return [self._watches[name].spec for name in sorted(self._watches)]
-
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, now: float) -> List[SloVerdict]:

@@ -34,14 +34,6 @@ class DisplayModel:
         next_vsync = math.ceil(ready_time / period) * period
         return next_vsync - ready_time
 
-    def in_fov(self, azimuth_rad: float, elevation_rad: float = 0.0) -> bool:
-        """Whether a direction (relative to gaze) lands inside the FOV."""
-        half_h = math.radians(self.fov_horizontal_deg) / 2.0
-        half_v = math.radians(self.fov_vertical_deg) / 2.0
-        azimuth = math.atan2(math.sin(azimuth_rad), math.cos(azimuth_rad))
-        elevation = math.atan2(math.sin(elevation_rad), math.cos(elevation_rad))
-        return abs(azimuth) <= half_h and abs(elevation) <= half_v
-
     def visible_fraction_of_gesture(self, gesture_extent_rad: float) -> float:
         """Fraction of a body gesture spanning ``gesture_extent_rad`` seen.
 

@@ -96,18 +96,6 @@ class RenderPipeline:
                                  parent=trace_parent)
         return mtp
 
-    @property
-    def achieved_fps(self) -> float:
-        """Delivered frame rate over the accounted wall time."""
-        if self._clock <= 0:
-            return 0.0
-        return self.frames_rendered / self._clock
-
-    @property
-    def drop_fraction(self) -> float:
-        total = self.frames_rendered + self.frames_dropped
-        return self.frames_dropped / total if total else 0.0
-
     def max_triangles_at_refresh(self) -> int:
         """Largest scene this device sustains at full refresh rate."""
         headroom = self.display.frame_period - self.device.base_frame_cost_s

@@ -115,11 +115,6 @@ class CollaborativeRenderer:
             return FrameOutcome(quality, True, self.config.rtt)
         return FrameOutcome(self.local_quality, False, 0.0)
 
-    def hit_rate(self) -> float:
-        if self.frames == 0:
-            raise RuntimeError("no frames rendered")
-        return self.cloud_hits / self.frames
-
     def mean_quality(self, t0: float, t1: float, fps: float, mode: str) -> float:
         """Average displayed quality over [t0, t1] at ``fps``."""
         if t1 <= t0 or fps <= 0:

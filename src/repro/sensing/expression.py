@@ -2,9 +2,8 @@
 
 Expressions are low-dimensional blendshape weight vectors (ARKit-style,
 truncated to the channels that matter for classroom communication).  The
-capture model adds sensor noise and quantization; a nearest-prototype
-classifier measures how much expressive signal survives the pipeline,
-which feeds the communication-efficacy experiments.
+capture model adds sensor noise and 8-bit quantization, the frame that
+crosses the wire in the communication-efficacy experiments.
 """
 
 from __future__ import annotations
@@ -82,17 +81,6 @@ def prototype(label: str) -> np.ndarray:
         raise KeyError(f"unknown expression: {label!r}") from None
 
 
-def classify(weights: np.ndarray) -> str:
-    """Nearest-prototype label for a blendshape vector."""
-    weights = np.asarray(weights, dtype=float)
-    best_label, best_distance = None, float("inf")
-    for label, proto in _PROTOTYPES.items():
-        distance = float(np.linalg.norm(weights - proto))
-        if distance < best_distance:
-            best_label, best_distance = label, distance
-    return best_label
-
-
 class ExpressionCapture:
     """Noisy capture of a participant's true expression.
 
@@ -116,12 +104,3 @@ class ExpressionCapture:
         weights = np.round(weights * 255.0) / 255.0  # 8-bit quantization
         self.captured += 1
         return ExpressionState(time=time, weights=weights, label=label)
-
-    def accuracy(self, label: str, trials: int = 100, intensity: float = 1.0) -> float:
-        """Fraction of captures of ``label`` that classify back correctly."""
-        hits = 0
-        for _ in range(trials):
-            state = self.capture(0.0, label, intensity)
-            if classify(state.weights) == label:
-                hits += 1
-        return hits / trials

@@ -107,6 +107,6 @@ class PoseFusionFilter:
     def velocity(self) -> np.ndarray:
         return self._x[3:].copy()
 
-    def position_uncertainty(self) -> float:
+    def position_uncertainty(self) -> float:  # replint: ignore[ARCH003] -- test observer of the filter covariance
         """RMS positional standard deviation across the three axes."""
         return float(np.sqrt(np.trace(self._P[:3, :3]) / 3.0))

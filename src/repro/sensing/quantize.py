@@ -32,7 +32,7 @@ class QuantizationConfig:
             raise ValueError("room extent must be positive")
 
     @property
-    def position_resolution_m(self) -> float:
+    def position_resolution_m(self) -> float:  # replint: ignore[ARCH003] -- grid step the quantizer error test bounds by
         """Grid step of the position encoding."""
         return 2.0 * self.room_extent_m / (2 ** self.position_bits - 1)
 
@@ -86,64 +86,6 @@ class PoseQuantizer:
         residual = 1.0 - float(np.sum(rebuilt ** 2))
         rebuilt[largest] = np.sqrt(max(0.0, residual))
         return Pose(position, quat_normalize(rebuilt))
-
-    def roundtrip_batch(
-        self, positions: np.ndarray, orientations: np.ndarray
-    ) -> tuple:
-        """Round-trip ``(n, 3)`` positions and ``(n, 4)`` quaternions at once.
-
-        Bit-for-bit identical to calling :meth:`roundtrip` row by row:
-        every arithmetic step applies the same IEEE operations in the same
-        order (``np.round`` and Python's ``round`` both round half to
-        even; squared norms accumulate left to right exactly like
-        :func:`~repro.sensing.pose.quat_normalize`).  The vectorized sync
-        path quantizes all outgoing poses of a tick through this in one
-        array pass.
-        """
-        positions = np.asarray(positions, dtype=float).reshape(-1, 3)
-        orientations = np.asarray(orientations, dtype=float).reshape(-1, 4)
-        n = len(orientations)
-        extent = self.config.room_extent_m
-        out_positions = self._quantize_array(
-            positions, -extent, extent, self.config.position_bits)
-
-        q = self._normalize_rows(orientations)
-        largest = np.argmax(np.abs(q), axis=1)
-        rows = np.arange(n)
-        flip = q[rows, largest] < 0
-        q[flip] = -q[flip]
-        small_mask = np.arange(4) != largest[:, None]
-        bound = 1.0 / np.sqrt(2.0)
-        small = self._quantize_array(
-            q[small_mask].reshape(n, 3), -bound, bound, self.config.quat_bits)
-        rebuilt = np.zeros((n, 4))
-        rebuilt[small_mask] = small.reshape(-1)
-        sq = rebuilt ** 2
-        residual = 1.0 - (((sq[:, 0] + sq[:, 1]) + sq[:, 2]) + sq[:, 3])
-        rebuilt[rows, largest] = np.sqrt(np.maximum(0.0, residual))
-        # The scalar path normalizes twice: once in roundtrip, once in
-        # ``Pose.__post_init__``.  Idempotence is not exact in floats, so
-        # match it literally.
-        return out_positions, self._normalize_rows(
-            self._normalize_rows(rebuilt))
-
-    def _quantize_array(
-        self, values: np.ndarray, lo: float, hi: float, bits: int
-    ) -> np.ndarray:
-        """:meth:`_quantize_scalar` over an array (identical arithmetic)."""
-        levels = 2 ** bits - 1
-        clipped = np.clip(values, lo, hi)
-        index = np.round((clipped - lo) / (hi - lo) * levels)
-        return lo + index / levels * (hi - lo)
-
-    @staticmethod
-    def _normalize_rows(q: np.ndarray) -> np.ndarray:
-        """Row-wise :func:`~repro.sensing.pose.quat_normalize`."""
-        norms = np.sqrt(((q[:, 0] * q[:, 0] + q[:, 1] * q[:, 1])
-                         + q[:, 2] * q[:, 2]) + q[:, 3] * q[:, 3])
-        if (norms < 1e-12).any():
-            raise ValueError("cannot normalize a zero quaternion")
-        return q / norms[:, None]
 
     def error(self, pose: Pose) -> tuple:
         """(position error m, orientation error rad) of one round trip."""

@@ -89,13 +89,6 @@ class SensoryConflictModel:
         self.exposure_s += duration_s
         return self.state
 
-    def rest(self, duration_s: float) -> float:
-        """Recovery with no conflict input."""
-        if duration_s < 0:
-            raise ValueError("duration must be >= 0")
-        self.state *= float(np.exp(-self.recovery_rate * 5.0 * duration_s))
-        return self.state
-
     def symptom_ratings(self) -> Dict[str, float]:
         """Map the scalar state onto 0-3 symptom ratings.
 

@@ -46,18 +46,6 @@ class SsqResponse:
     disorientation: float
     total: float
 
-    def severity_label(self) -> str:
-        """Common interpretation bands for the total score."""
-        if self.total < 5:
-            return "negligible"
-        if self.total < 10:
-            return "minimal"
-        if self.total < 15:
-            return "significant"
-        if self.total < 20:
-            return "concerning"
-        return "bad"
-
 
 def score_ssq(ratings: Mapping[str, float]) -> SsqResponse:
     """Score a questionnaire of symptom ratings (each 0-3).

@@ -38,11 +38,3 @@ class RngRegistry:
 
     def __getitem__(self, name: str) -> np.random.Generator:
         return self.stream(name)
-
-    def fork(self, salt: int) -> "RngRegistry":
-        """A registry whose streams are independent of this one's.
-
-        Useful for replications: ``rng.fork(rep)`` gives replication ``rep``
-        its own universe of streams.
-        """
-        return RngRegistry(self.seed * 1_000_003 + int(salt) + 1)

@@ -111,7 +111,7 @@ class SyncClient:
     def known_entities(self) -> list:
         return sorted(self._buffers)
 
-    def latest_states(self) -> Dict[str, AvatarState]:
+    def latest_states(self) -> Dict[str, AvatarState]:  # replint: ignore[ARCH003] -- test observer of the client's world view
         """Newest received state per known remote entity (no interpolation).
 
         The raw replica view — what the convergence tests compare against

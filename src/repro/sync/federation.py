@@ -495,7 +495,7 @@ class ShardedSyncService:
         for shard in self.shards.values():
             shard.set_lod_hint(user_id, level)
 
-    def lod_hint(self, user_id: str) -> Optional[str]:
+    def lod_hint(self, user_id: str) -> Optional[str]:  # replint: ignore[ARCH003] -- test observer of the LOD knob
         return self._lod_hints.get(user_id)
 
     def downlink(self, user_id: str, site: Optional[str] = None) -> Link:
@@ -641,7 +641,7 @@ class ShardedSyncService:
         self.plan = plan
         self.home.update(plan.assignment)
 
-    def rebalance(self, exclude: Sequence[str] = ()) -> RegionalPlan:
+    def rebalance(self, exclude: Sequence[str] = ()) -> RegionalPlan:  # replint: ignore[ARCH003] -- test-only, queued for deletion
         """From-scratch placement around ``exclude`` d sites.
 
         Runs :func:`~repro.cloud.regions.plan_regions` with the current
@@ -693,17 +693,6 @@ class ShardedSyncService:
             packet.meta["obs_stage"] = "wan"
         self._access_link(user_id, site, "up").send(
             packet, lambda p: shard.ingest(p.payload))
-
-    def ingest_local(self, site: str, update: ClientUpdate) -> None:
-        """Server-side ingress for entities co-located with a shard
-        (instructor consoles, NPC drivers): no access link, but the
-        entity is homed so relays will federate it."""
-        if site not in self.shards:
-            raise KeyError(f"unknown site {site!r}")
-        self.entity_home[update.client_id] = site
-        if self.sim.obs.enabled and update.ctx is not None:
-            self._traced[update.client_id] = update.ctx
-        self.shards[site].ingest(update)
 
     def _downlink_path(
         self, site: str, user_id: str

@@ -144,7 +144,7 @@ class FailoverController:
         self._standbys.append((server, path))
 
     @property
-    def standbys_remaining(self) -> int:
+    def standbys_remaining(self) -> int:  # replint: ignore[ARCH003] -- test observer of the standby pool
         return len(self._standbys)
 
     def _starved(self) -> bool:

@@ -82,7 +82,7 @@ class PredictedAvatar:
             self._correction = self._correction - correction
         return magnitude
 
-    def smoothed_position(self, dt_since_reconcile: float) -> np.ndarray:
+    def smoothed_position(self, dt_since_reconcile: float) -> np.ndarray:  # replint: ignore[ARCH003] -- test observer of client-side prediction
         """Display position: authoritative minus the decaying correction."""
         if dt_since_reconcile < 0:
             raise ValueError("dt must be >= 0")
@@ -92,7 +92,7 @@ class PredictedAvatar:
         return self.position + self._correction * remaining
 
     @property
-    def unacked_inputs(self) -> int:
+    def unacked_inputs(self) -> int:  # replint: ignore[ARCH003] -- test observer of client-side prediction
         return len(self._pending)
 
 

@@ -206,7 +206,7 @@ class SyncServer:
         level_by_name(level)  # raises KeyError on unknown tiers
         self._lod_hints[client_id] = level
 
-    def lod_hint(self, client_id: str) -> Optional[str]:
+    def lod_hint(self, client_id: str) -> Optional[str]:  # replint: ignore[ARCH003] -- test observer of the LOD knob
         return self._lod_hints.get(client_id)
 
     def _sends_this_tick(self, client_id: str) -> bool:

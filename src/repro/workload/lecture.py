@@ -48,26 +48,6 @@ class ActivityScript:
     def total_duration(self) -> float:
         return sum(phase.duration_s for phase in self.phases)
 
-    def phase_at(self, t: float) -> ActivityPhase:
-        """The phase active at session-relative time ``t``."""
-        if t < 0:
-            raise ValueError("time must be >= 0")
-        cursor = 0.0
-        for phase in self.phases:
-            cursor += phase.duration_s
-            if t < cursor:
-                return phase
-        raise ValueError(f"t={t} is past the end of the script ({cursor}s)")
-
-    def mean_interaction_rate(self) -> float:
-        """Duration-weighted interactions per participant per minute."""
-        total = self.total_duration
-        if total == 0:
-            return 0.0
-        return sum(
-            phase.interaction_rate_per_min * phase.duration_s for phase in self.phases
-        ) / total
-
 
 def lecture_script(duration_s: float = 3600.0) -> ActivityScript:
     """A classic lecture: long talk segments, brief Q&A breaks."""

@@ -60,12 +60,6 @@ class RemotePopulation:
     def __len__(self) -> int:
         return len(self.users)
 
-    def by_region(self) -> Dict[str, List[RemoteUser]]:
-        grouped: Dict[str, List[RemoteUser]] = {}
-        for user in self.users:
-            grouped.setdefault(user.region, []).append(user)
-        return grouped
-
     def cities(self) -> List[str]:
         return sorted({user.city for user in self.users})
 

@@ -89,16 +89,6 @@ def test_dead_reckoner_error_grows_with_horizon():
     assert long > short
 
 
-def test_dead_reckoner_should_send_suppression():
-    reckoner = DeadReckoner()
-    trace = WalkingMotion([(0, 0, 0), (100, 0, 0)], speed_m_per_s=1.0, loop=False)
-    assert reckoner.should_send(0.0, trace(0.0), threshold=0.1)  # no history yet
-    reckoner.observe(0.0, trace(0.0))
-    reckoner.observe(1.0, trace(1.0))
-    # Perfect linear motion: prediction holds, no update needed.
-    assert not reckoner.should_send(2.0, trace(2.0), threshold=0.1)
-
-
 def test_dead_reckoner_not_ready_uses_last_pose():
     reckoner = DeadReckoner()
     reckoner.observe(0.0, Pose(np.array([1.0, 2.0, 3.0])))

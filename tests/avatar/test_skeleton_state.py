@@ -1,7 +1,6 @@
 """Unit tests for the avatar state."""
 
 import numpy as np
-import pytest
 
 from repro.avatar.state import AvatarState
 from repro.sensing.expression import N_CHANNELS
@@ -39,9 +38,3 @@ def test_avatar_state_copy_independent():
     clone.expression[0] = 1.0
     assert state.pose.position[0] == 0.0
     assert state.expression[0] == 0.0
-
-
-def test_avatar_state_position_error():
-    a = AvatarState("p", 0.0, Pose(np.zeros(3)))
-    b = AvatarState("p", 0.0, Pose(np.array([0.0, 3.0, 4.0])))
-    assert a.position_error(b) == pytest.approx(5.0)

@@ -42,11 +42,12 @@ def test_layout_stage_and_release():
     stage_pose = layout.assign_stage("prof")
     assert np.linalg.norm(stage_pose.position) < 1.0
     layout.assign_seat("student")
-    poses = layout.all_poses()
-    assert set(poses) == {"prof", "student"}
+    assert layout.seated_count == 1
     layout.release("prof")
     layout.release("student")
-    assert layout.all_poses() == {}
+    assert layout.seated_count == 0
+    # The released stage slot is free again: a new speaker takes slot 0.
+    assert layout.assign_stage("guest").position[0] == 0.0
 
 
 def test_layout_rows_grow_outward():

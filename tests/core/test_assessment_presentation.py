@@ -57,9 +57,6 @@ def test_class_analytics():
     for i in range(40):
         engine.administer(f"s{i}", ability=float(rng.normal(0, 1)))
     assert 0.0 < engine.class_mean_score() < 1.0
-    difficulty = engine.item_difficulty_empirical()
-    # Empirical failure rate tracks designed difficulty ordering.
-    assert difficulty["q0"] < difficulty["q4"]
 
 
 def test_assessment_validation():

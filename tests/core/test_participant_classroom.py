@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.classroom import PhysicalClassroom
-from repro.core.participant import Participant, Role
+from repro.core.participant import Participant
 from repro.simkit import Simulator
 
 
@@ -17,11 +17,6 @@ def test_participant_physical_or_remote_exclusively():
         Participant("c")
     with pytest.raises(ValueError):
         Participant("d", campus="cwb", city="kaist")
-
-
-def test_participant_importance_by_role():
-    assert Participant("i", campus="x", role=Role.INSTRUCTOR).importance == 1.0
-    assert Participant("s", campus="x").importance < 1.0
 
 
 def test_classroom_seats_participants_and_tracks_them():

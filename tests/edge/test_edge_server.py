@@ -131,19 +131,6 @@ def test_edge_no_vacant_seat_avatar_invisible():
     assert edge.seat_of("remote") is None
 
 
-def test_edge_remove_remote_frees_seat():
-    sim = Simulator(seed=6)
-    edge = make_edge(sim, "x")
-    from repro.avatar.state import AvatarState
-    edge.receive_remote_state(AvatarState("bob", sim.now, Pose()), np.zeros(3))
-    assert edge.seat_of("bob") is not None
-    before_vacant = edge.seat_map.n_vacant
-    edge.remove_remote("bob")
-    assert edge.seat_of("bob") is None
-    assert edge.seat_map.n_vacant == before_vacant + 1
-    assert edge.staleness("bob") == float("inf")
-
-
 def test_edge_duplicate_peer_rejected():
     sim = Simulator()
     edge = make_edge(sim, "dup")

@@ -277,7 +277,8 @@ def arch003(files):
 def test_arch003_flags_dead_function_and_self_reference():
     src = ("def dead(n):\n    return dead(n - 1) if n else 0\n\n\n"
            "class Node:\n    def copy(self):\n        return Node()\n")
-    assert arch003({NEUTRAL: src}) == ([(NEUTRAL, 1), (NEUTRAL, 5)], [])
+    assert arch003({NEUTRAL: src}) == (
+        [(NEUTRAL, 1), (NEUTRAL, 5), (NEUTRAL, 6)], [])
 
 
 def test_arch003_flags_name_only_export_lists_mention():
@@ -339,6 +340,78 @@ def test_arch003_name_used_by_unsuppressed_definition_passes():
              BENCH: ("from repro.metrics.sibling import build\n\n\n"
                      "def main():\n    return build()\n")}
     assert arch003(files) == ([], [])
+
+
+# Class members: SIBLING instantiates the fixture's classes, so only
+# their members are in question.
+
+def test_arch003_flags_unreferenced_method_and_property():
+    files = {NEUTRAL: ("class Box:\n"
+                       "    def used(self):\n        return 1\n\n"
+                       "    def unused(self):\n        return 2\n\n"
+                       "    @property\n"
+                       "    def size(self):\n        return 3\n"),
+             SIBLING: ("from repro.metrics.example import Box\n\n"
+                       "VALUE = Box().used()\n")}
+    # A property is flagged on its ``def`` line, below the decorator.
+    assert arch003(files) == ([(NEUTRAL, 5), (NEUTRAL, 9)], [])
+
+
+def test_arch003_skips_dunder_and_private_members():
+    files = {NEUTRAL: ("class Box:\n"
+                       "    def __len__(self):\n        return 0\n\n"
+                       "    def _helper(self):\n        return 1\n\n"
+                       "    def public(self):\n        return 2\n"),
+             SIBLING: ("from repro.metrics.example import Box\n\n"
+                       "VALUE = Box()\n")}
+    assert arch003(files) == ([(NEUTRAL, 8)], [])
+
+
+def test_arch003_member_overriding_a_linted_base_passes():
+    files = {NEUTRAL: ("class Base:\n"
+                       "    def run(self):\n        return 1\n\n\n"
+                       "class Child(Base):\n"
+                       "    def run(self):\n        return 2\n"),
+             SIBLING: ("from repro.metrics.example import Child\n\n"
+                       "VALUE = Child()\n"),
+             BENCH: ("from repro.metrics.example import Base\n\n\n"
+                     "def main():\n    return Base()\n")}
+    # Nothing calls ``run``: the base's definition is flagged once, and
+    # the override is not flagged again.
+    assert arch003(files) == ([(NEUTRAL, 2)], [])
+
+
+def test_arch003_node_visitor_dispatch_methods_pass():
+    files = {NEUTRAL: ("import ast\n\n\n"
+                       "class Names(ast.NodeVisitor):\n"
+                       "    def visit_Name(self, node):\n        pass\n\n\n"
+                       "class Plain:\n"
+                       "    def visit_Name(self, node):\n        pass\n"),
+             SIBLING: ("from repro.metrics.example import Names, Plain\n\n"
+                       "VALUE = (Names(), Plain())\n")}
+    # A base from outside the linted files may call any member by
+    # dispatch; a class without one gets no such exemption.
+    assert arch003(files) == ([(NEUTRAL, 10)], [])
+
+
+def test_arch003_flags_recursive_method():
+    files = {NEUTRAL: ("class Tree:\n"
+                       "    def depth(self, n):\n"
+                       "        return self.depth(n - 1) if n else 0\n"),
+             SIBLING: ("from repro.metrics.example import Tree\n\n"
+                       "VALUE = Tree()\n")}
+    assert arch003(files) == ([(NEUTRAL, 2)], [])
+
+
+def test_arch003_flags_member_used_only_by_suppressed_member():
+    files = {NEUTRAL: ("class Box:\n"
+                       "    def helper(self):\n        return 1\n\n"
+                       "    def oracle(self):  "
+                       "# replint: ignore[ARCH003] -- test oracle\n"
+                       "        return self.helper()\n"),
+             SIBLING: ("from repro.metrics.example import Box\n\n"
+                       "VALUE = Box()\n")}
+    assert arch003(files) == ([(NEUTRAL, 2)], [(NEUTRAL, 5)])
 
 
 # -- the whole registry ------------------------------------------------------

@@ -15,14 +15,6 @@ def test_quality_curve_saturating():
     assert (q6 - q3) < (q3 - codec.quality(0.0))
 
 
-def test_quality_inverse():
-    codec = VideoCodecModel()
-    for q in (0.3, 0.6, 0.9):
-        assert codec.quality(codec.bitrate_for_quality(q)) == pytest.approx(q)
-    with pytest.raises(ValueError):
-        codec.bitrate_for_quality(1.0)
-
-
 def test_frame_sizes_average_to_bitrate():
     codec = VideoCodecModel(fps=30.0, gop=30, keyframe_ratio=6.0)
     bitrate = 3e6
@@ -111,7 +103,6 @@ def test_jitter_buffer_missing_frame_skipped():
         buffer.push(i, arrival_time=i / fps)
     report = buffer.playout_report(10, fps)
     assert report.skipped == 1
-    assert report.skip_fraction == pytest.approx(0.1)
 
 
 def test_jitter_buffer_empty():

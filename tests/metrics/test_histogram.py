@@ -82,15 +82,14 @@ def test_family_enforces_label_schema():
 
 def test_registry_families_and_collision_detection():
     registry = MetricsRegistry()
-    family = registry.histogram_family("stage_latency", ("stage",))
-    assert registry.histogram_family("stage_latency", ("stage",)) is family
-    with pytest.raises(ValueError):
-        registry.counter_family("stage_latency", ("other",))
     counters = registry.counter_family("drops", ("link",))
+    assert registry.counter_family("drops", ("link",)) is counters
+    with pytest.raises(ValueError):
+        registry.gauge_family("drops", ("other",))
     counters.labels(link="wan").inc()
     gauges = registry.gauge_family("depth", ("queue",))
     gauges.labels(queue="egress").set(3.0)
-    assert set(registry.families) == {"stage_latency", "drops", "depth"}
+    assert set(registry.families) == {"drops", "depth"}
 
 
 def test_registry_plain_histogram_and_gauge_default():

@@ -1,4 +1,4 @@
-"""Unit tests for nodes, topology, routing, and path channels."""
+"""Unit tests for topology, routing, and path channels."""
 
 import itertools
 
@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.geo import WORLD_CITIES, GeoPoint
-from repro.net.node import Node, connect
 from repro.net.packet import Packet
 from repro.net.topology import Site, Topology
 from repro.simkit import Simulator
@@ -23,34 +22,6 @@ def build_triangle(sim):
     topo.connect("gz", "kaist", rate_bps=1e9)
     topo.connect("cwb", "kaist", rate_bps=1e9, prop_delay=1.0)  # bad route
     return topo
-
-
-def test_node_dispatch_by_kind():
-    sim = Simulator()
-    a, b = Node("a"), Node("b")
-    connect(sim, a, b, rate_bps=1e9, prop_delay=0.001)
-    seen = []
-    b.on("pose", lambda p: seen.append(("pose", p.payload)))
-    b.on_default(lambda p: seen.append(("other", p.payload)))
-    a.send(b, Packet(src="a", dst="b", size_bytes=100, kind="pose", payload=1))
-    a.send(b, Packet(src="a", dst="b", size_bytes=100, kind="video", payload=2))
-    sim.run()
-    assert seen == [("pose", 1), ("other", 2)]
-    assert b.received == 2
-
-
-def test_node_missing_handler_raises():
-    sim = Simulator()
-    a, b = Node("a"), Node("b")
-    connect(sim, a, b, rate_bps=1e9, prop_delay=0.0)
-    a.send(b, Packet(src="a", dst="b", size_bytes=10, kind="mystery"))
-    with pytest.raises(KeyError):
-        sim.run()
-
-
-def test_node_unknown_link():
-    with pytest.raises(KeyError):
-        Node("a").link_to("nowhere")
 
 
 def test_topology_duplicate_site_rejected():

@@ -42,13 +42,6 @@ def test_wifi_contention_slows_frames():
     assert latencies[40] > latencies[1]
 
 
-def test_wifi_expected_latency_analytic_monotone():
-    sim = Simulator()
-    quiet = WifiNetwork(sim, contenders=1).expected_frame_latency(1200)
-    busy = WifiNetwork(sim, contenders=50, name="w2").expected_frame_latency(1200)
-    assert busy > quiet > 0
-
-
 def test_wifi_validation():
     sim = Simulator()
     with pytest.raises(ValueError):

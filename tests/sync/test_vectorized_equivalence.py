@@ -1,8 +1,8 @@
 """Data-plane components against their reference implementations.
 
 The batched delta encoder must agree with the per-entity
-:class:`DeltaEncoder` reference, the interest CSR core with
-:func:`naive_relevant`, and the batch quantizer with the scalar one.
+:class:`DeltaEncoder` reference, and the interest CSR core with
+:func:`naive_relevant`.
 Whole-server snapshot streams are pinned by the golden digests in
 ``tests/golden/``.
 
@@ -18,7 +18,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.avatar.state import AvatarState
 from repro.sensing.pose import Pose
-from repro.sensing.quantize import PoseQuantizer, QuantizationConfig
 from repro.simkit import Simulator
 from repro.sync.delta import BatchDeltaEncoder, WorldState
 from repro.sync.federation import ShardedSyncService
@@ -177,35 +176,6 @@ def test_interest_csr_matches_naive_oracle(seed):
         got = {ids[j] for j in flat[offsets[i]:offsets[i + 1]]}
         expected = naive_relevant(config, subject_id, points[i], positions)
         assert got == expected, (seed, subject_id)
-
-
-# -- batch quantizer ----------------------------------------------------------
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    position_bits=st.integers(min_value=4, max_value=32),
-    quat_bits=st.integers(min_value=2, max_value=16),
-    seed=st.integers(min_value=0, max_value=2**31 - 1),
-)
-def test_quantizer_batch_bit_identical(position_bits, quat_bits, seed):
-    """``roundtrip_batch`` is bit-for-bit the scalar ``roundtrip`` across
-    quantization configs (same IEEE ops in the same order)."""
-    quantizer = PoseQuantizer(QuantizationConfig(
-        position_bits=position_bits, quat_bits=quat_bits))
-    rng = np.random.default_rng(seed)
-    poses = [
-        Pose(position=rng.uniform(-25, 25, size=3),
-             orientation=rng.normal(size=4))
-        for _ in range(16)
-    ]
-    batch_pos, batch_quat = quantizer.roundtrip_batch(
-        np.stack([pose.position for pose in poses]),
-        np.stack([pose.orientation for pose in poses]))
-    for i, pose in enumerate(poses):
-        scalar = quantizer.roundtrip(pose)
-        assert np.array_equal(scalar.position, batch_pos[i])
-        assert np.array_equal(scalar.orientation, batch_quat[i])
 
 
 # -- regression: keyframe cadence --------------------------------------------
