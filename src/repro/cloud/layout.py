@@ -81,11 +81,6 @@ class VRClassroomLayout:
         facing = float(np.arctan2(to_stage[1], to_stage[0]))
         return Pose(position, yaw_quat(facing))
 
-    def release(self, participant_id: str) -> None:
-        self._assignments.pop(participant_id, None)
-        if participant_id in self._stage:
-            self._stage.remove(participant_id)
-
     @property
     def seated_count(self) -> int:  # replint: ignore[ARCH003] -- test observer of seat assignment
         return len(self._assignments)

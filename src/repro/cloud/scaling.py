@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 
 @dataclass(frozen=True)
@@ -37,15 +37,8 @@ class ShardPlanner:
             raise ValueError("capacity too small for the replicated set")
         return -(-n_users // usable)  # ceil division
 
-    def assign(self, user_ids: List[str]) -> Dict[str, int]:  # replint: ignore[ARCH003] -- test-only, queued for deletion
-        """Round-robin users over the planned shards."""
-        shards = self.n_shards(len(user_ids))
-        if shards == 0:
-            return {}
-        return {user_id: i % shards for i, user_id in enumerate(user_ids)}
-
     def shard_sizes(self, n_users: int) -> List[int]:
-        """Occupancy per shard under :meth:`assign`'s round-robin order.
+        """Occupancy per shard when users are dealt round-robin.
 
         Round-robin distributes the remainder over the *first*
         ``n_users % shards`` shards, so the trailing shards hold one user

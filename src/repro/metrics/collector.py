@@ -182,13 +182,7 @@ class MetricsRegistry:
             for key, value in histogram.summary().items():
                 merged[f"hist:{name}:{key}"] = value
         for name, family in self._families.items():
-            prefix = {"counter": "counter", "gauge": "gauge",
-                      "histogram": "hist"}[family.kind]
             for label_values, child in family.items():
                 labels = label_string(family.label_names, label_values)
-                if family.kind == "histogram":
-                    for key, value in child.summary().items():
-                        merged[f"{prefix}:{name}{labels}:{key}"] = value
-                else:
-                    merged[f"{prefix}:{name}{labels}"] = child.value
+                merged[f"{family.kind}:{name}{labels}"] = child.value
         return merged

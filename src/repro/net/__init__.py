@@ -6,9 +6,8 @@ and to the cloud.  This package simulates those paths with store-and-forward
 queued links, a geographic propagation-delay model (fiber speed + route
 stretch + peering penalties), an 802.11-style contention model and a
 reliable transport.  :mod:`repro.net.faults` adds deterministic fault
-injection on top — scheduled link outages, Gilbert–Elliott burst loss,
-latency-spike windows and server crash/restart schedules — for the
-robustness experiments.
+injection on top — scheduled link outages, Gilbert–Elliott burst loss
+and server crash/restart schedules — for the robustness experiments.
 """
 
 from repro.net.faults import (
@@ -16,10 +15,8 @@ from repro.net.faults import (
     FaultInjector,
     FaultLog,
     GilbertElliottLoss,
-    JitterSpikeSchedule,
     LinkOutageSchedule,
     ServerCrashSchedule,
-    SpikeWindow,
 )
 from repro.net.geo import GeoPoint, WORLD_CITIES, haversine_km
 from repro.net.latency import WanLatencyModel
@@ -35,10 +32,8 @@ __all__ = [
     "FaultLog",
     "GeoPoint",
     "GilbertElliottLoss",
-    "JitterSpikeSchedule",
     "LinkOutageSchedule",
     "ServerCrashSchedule",
-    "SpikeWindow",
     "Link",
     "LinkStats",
     "Packet",

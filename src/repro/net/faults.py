@@ -7,14 +7,12 @@ half of that argument the simulator was missing: a way to **cause**
 failures on a schedule that is a pure function of the seed, so every
 robustness experiment replays byte-for-byte.
 
-Four fault classes, all wired through existing component hooks:
+Three fault classes, all wired through existing component hooks:
 
 * :class:`LinkOutageSchedule` — hard link outages driving ``Link.up``
   through simulator events; going down drops queued/in-flight traffic.
 * :class:`GilbertElliottLoss` — the classic two-state burst-loss chain,
   pluggable as ``Link.loss_model`` (replaces the i.i.d. Bernoulli draw).
-* :class:`JitterSpikeSchedule` — latency/jitter spike windows, pluggable
-  as ``Link.delay_model``.
 * :class:`ServerCrashSchedule` — :class:`~repro.sync.server.SyncServer`
   crash/restart with an ``on_restart`` hook for subscriber re-attach.
 
@@ -26,7 +24,7 @@ byte-for-byte replay witness the determinism tests compare.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -206,83 +204,6 @@ class GilbertElliottLoss:
         return self
 
 
-@dataclass(frozen=True)
-class SpikeWindow:  # replint: ignore[ARCH003] -- test-only, queued for deletion
-    """One latency/jitter spike: active during ``[start, end)``."""
-
-    start: float
-    end: float
-    extra_delay: float
-    extra_jitter_std: float = 0.0
-
-    def __post_init__(self):
-        if self.end <= self.start:
-            raise ValueError(f"empty or inverted window: ({self.start}, {self.end})")
-        if self.extra_delay < 0 or self.extra_jitter_std < 0:
-            raise ValueError("spike magnitudes must be non-negative")
-
-
-class JitterSpikeSchedule:  # replint: ignore[ARCH003] -- test-only, queued for deletion
-    """Latency/jitter spike windows, pluggable as ``Link.delay_model``.
-
-    During a window every packet picks up ``extra_delay`` seconds of
-    deterministic latency and the link's jitter standard deviation widens
-    by ``extra_jitter_std`` (the FIFO clamp keeps arrivals in order even
-    when the widened jitter would reorder them).
-    """
-
-    def __init__(self, windows: Sequence[SpikeWindow]):
-        self.windows = tuple(sorted(windows, key=lambda w: w.start))
-        previous_end = -float("inf")
-        for window in self.windows:
-            if window.start < previous_end:
-                raise ValueError("spike windows must not overlap")
-            previous_end = window.end
-
-    @classmethod
-    def random(
-        cls,
-        rng: np.random.Generator,
-        horizon: float,
-        rate: float,
-        mean_duration: float,
-        mean_extra_delay: float,
-        extra_jitter_std: float = 0.0,
-    ) -> "JitterSpikeSchedule":
-        """Poisson spike arrivals with exponential durations and magnitudes."""
-        if horizon <= 0 or rate <= 0 or mean_duration <= 0:
-            raise ValueError("horizon, rate and mean_duration must be positive")
-        windows: List[SpikeWindow] = []
-        t = float(rng.exponential(1.0 / rate))
-        while t < horizon:
-            duration = float(rng.exponential(mean_duration))
-            extra = float(rng.exponential(mean_extra_delay))
-            end = min(horizon, t + max(1e-4, duration))
-            windows.append(SpikeWindow(t, end, extra, extra_jitter_std))
-            t = end + float(rng.exponential(1.0 / rate))
-        return cls(windows)
-
-    def _active(self, now: float) -> Optional[SpikeWindow]:
-        for window in self.windows:
-            if window.start <= now < window.end:
-                return window
-            if window.start > now:
-                break
-        return None
-
-    def extra_delay(self, now: float) -> float:
-        window = self._active(now)
-        return window.extra_delay if window is not None else 0.0
-
-    def extra_jitter_std(self, now: float) -> float:
-        window = self._active(now)
-        return window.extra_jitter_std if window is not None else 0.0
-
-    def attach(self, link: Link) -> "JitterSpikeSchedule":
-        link.delay_model = self
-        return self
-
-
 class ServerCrashSchedule:
     """Crash (and optionally restart) a sync server on a fixed schedule.
 
@@ -354,10 +275,6 @@ class FaultInjector:
 
     def burst_loss(self, link: Link, model: GilbertElliottLoss) -> GilbertElliottLoss:
         return model.attach(link)
-
-    def delay_spikes(self, link: Link,  # replint: ignore[ARCH003] -- test-only, queued for deletion
-                     schedule: JitterSpikeSchedule) -> JitterSpikeSchedule:
-        return schedule.attach(link)
 
     def server_crash(
         self,

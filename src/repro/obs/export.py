@@ -41,17 +41,12 @@ def _prom_value(value: float) -> str:
     return repr(float(value))
 
 
-def _histogram_lines(metric: str, histogram: Histogram,
-                     labels: str = "") -> List[str]:
-    """``_bucket``/``_sum``/``_count`` series for one histogram child."""
-    trimmed = labels[1:-1] if labels else ""
-    lines = []
-    for bound, cumulative in histogram.bucket_counts():
-        le = f'le="{_prom_value(bound)}"'
-        inner = f"{trimmed},{le}" if trimmed else le
-        lines.append(f"{metric}_bucket{{{inner}}} {cumulative}")
-    lines.append(f"{metric}_sum{labels} {_prom_value(histogram.sum)}")
-    lines.append(f"{metric}_count{labels} {histogram.count}")
+def _histogram_lines(metric: str, histogram: Histogram) -> List[str]:
+    """``_bucket``/``_sum``/``_count`` series for one histogram."""
+    lines = [f'{metric}_bucket{{le="{_prom_value(bound)}"}} {cumulative}'
+             for bound, cumulative in histogram.bucket_counts()]
+    lines.append(f"{metric}_sum {_prom_value(histogram.sum)}")
+    lines.append(f"{metric}_count {histogram.count}")
     return lines
 
 
@@ -64,9 +59,9 @@ def prometheus_text(registry: MetricsRegistry,
                     prefix: str = "repro") -> str:
     """Render the registry in the Prometheus text exposition format.
 
-    Counters and gauges become single samples; trackers become
-    ``{quantile=...}``-labeled summaries; histograms (plain and labeled
-    families) become cumulative ``_bucket`` series ending at ``+Inf``.
+    Counters and gauges, labeled or not, become single samples; trackers
+    become ``{quantile=...}``-labeled summaries; histograms become
+    cumulative ``_bucket`` series ending at ``+Inf``.
     Metrics described via ``registry.describe`` (or families built with
     ``help_text=``) get a ``# HELP`` line ahead of their ``# TYPE``.
     """
@@ -114,10 +109,7 @@ def prometheus_text(registry: MetricsRegistry,
         header(name, metric, family.kind)
         for label_values, child in family.items():
             labels = label_string(family.label_names, label_values)
-            if family.kind == "histogram":
-                lines.extend(_histogram_lines(metric, child, labels))
-            else:
-                lines.append(f"{metric}{labels} {_prom_value(child.value)}")
+            lines.append(f"{metric}{labels} {_prom_value(child.value)}")
     return "\n".join(lines) + "\n"
 
 

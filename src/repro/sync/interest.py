@@ -10,7 +10,9 @@ with cell size equal to the interest radius, so a radius query only
 examines the 3x3x3 block of cells around the subject instead of every
 entity in the world; a query of at most :data:`DENSE_MAX_PAIRS` pairs
 examines the same block pairs from one dense mask instead, without the
-index's fixed cost.  The core is
+index's fixed cost.  Either path cuts each row's nearest-k from the
+distance matrix it already holds with one partition rule
+(:func:`_nearest`).  The core is
 :meth:`InterestManager.relevant_indices_batch`: one evaluation over the
 stacked entity positions answers every subject as a CSR over entity
 rows; the federation relays call it directly, and the sync server's
@@ -34,6 +36,7 @@ import numpy as np
 from repro.sync.delta import WorldState, concat_ranges
 
 _EMPTY_INDICES = np.empty(0, dtype=np.int64)
+_MAX_FLOAT = np.finfo(float).max
 
 #: Offsets of the 3x3x3 neighbourhood; with ``cell_size >= radius`` every
 #: entity within the radius of a query point lives in one of these cells.
@@ -44,11 +47,11 @@ _UNINDEXABLE = ("interest positions must be finite, in cells spanning a box "
 
 
 #: Largest ``subjects x entities`` query answered densely: one (s, n)
-#: block mask and distance matrix instead of the cell index, whose fixed
-#: cost (key sort, per-cell loop, histogram selection) rules small
-#: queries.  A federated relay round's stacked query (at most 1,027 pairs
-#: on the benchmark workloads, on class-rush) falls below it, the
-#: 2,000-avatar hall far above; DESIGN.md §7 has the crossover.
+#: block mask and distance matrix, cut by :func:`_nearest` once, instead
+#: of the cell index, whose fixed cost (key sort, per-cell loop) rules
+#: small queries.  A federated relay round's stacked query (at most
+#: 1,027 pairs on the benchmark workloads, on class-rush) falls below
+#: it, the 2,000-avatar hall far above; DESIGN.md §7 has the crossover.
 DENSE_MAX_PAIRS = 8192
 
 
@@ -124,6 +127,34 @@ def _cell_blocks(cells: np.ndarray, query_cells: np.ndarray) -> tuple:
 def _block_pairs(group: np.ndarray, counts: np.ndarray) -> int:
     """The pairs a query scans: each subject against its cell's block."""
     return int(np.bincount(group) @ counts.sum(axis=1))
+
+
+def _nearest(sq: np.ndarray, out: np.ndarray, ranks: np.ndarray,
+             limit: int) -> np.ndarray:
+    """Mask of each row's first ``limit`` pairs by ``(distance, id
+    rank)``, the order :func:`naive_relevant` sorts by: the one exact
+    top-k of both query paths.
+
+    ``sq`` holds (rows, cols) squared distances and is rooted in place;
+    ``out`` marks the pairs no row may keep (outside the radius, or the
+    row's own entity); ``ranks`` are the columns' id ranks.  A row keeps
+    every pair up to its k-th distance, taken by one partition and
+    clipped to the largest float, so a row with fewer than k pairs keeps
+    exactly its own.  Only a row tied at its k-th distance then holds
+    more than k, and drops its tied pairs of highest id rank."""
+    if sq.shape[1] <= limit:
+        return ~out
+    dist = np.sqrt(sq, out=sq)
+    np.copyto(dist, np.inf, where=out)
+    kth = np.minimum(np.partition(dist, limit - 1, axis=1)[:, limit - 1:limit],
+                     _MAX_FLOAT)
+    keep = dist <= kth
+    counts = np.count_nonzero(keep, axis=1)
+    for row in np.flatnonzero(counts > limit):
+        tied = np.flatnonzero(dist[row] == kth[row])
+        drop = np.argsort(ranks[tied])[len(tied) + limit - counts[row]:]
+        keep[row, tied[drop]] = False
+    return keep
 
 
 class _LastRows(NamedTuple):
@@ -206,7 +237,7 @@ class InterestManager:
         """Largest squared distance whose correctly-rounded sqrt still
         passes ``dist <= radius``, cached per radius: sqrt is monotone, so
         ``sq <= sq_limit`` keeps exactly the pairs ``dist <= radius``
-        would, and the sqrt can wait for the much smaller kept set."""
+        would, and only the nearest-k ranking takes a sqrt."""
         radius = self.config.radius_m
         if self._sq_limit is None or self._sq_limit[0] != radius:
             sq_limit = radius * radius
@@ -285,30 +316,18 @@ class InterestManager:
                        subject_self: np.ndarray,
                        id_ranks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(cand, subj)`` of a small query, grouped by subject, from one
-        (s, n) block mask and distance matrix.
-
-        The mask holds exactly the pairs the cell index would scan, and a
-        row over the cap keeps its first ``max_entities`` pairs by
-        ``(distance, id rank)`` from one per-row lexsort, in place of the
-        histogram selection: the same exact top-k."""
+        (s, n) block mask and distance matrix cut by :func:`_nearest`.
+        The mask holds exactly the pairs the cell index would scan."""
         block = _dense_block(cells, query_cells)
         self.last_pairs_scanned = int(np.count_nonzero(block))
         sq = _pair_squared_distances(
             points[:, 0], points[:, 1], points[:, 2],
             subject_points[:, 0], subject_points[:, 1], subject_points[:, 2])
-        keep = block & (sq <= self.sq_limit())
+        out = ~block | (sq > self.sq_limit())
         own = (subject_self >= 0).nonzero()[0]
-        keep[own, subject_self[own]] = False
-        limit = self.config.max_entities
-        over = (keep.sum(axis=1) > limit).nonzero()[0]
-        if len(over):
-            dist = np.where(keep[over], np.sqrt(sq[over]), np.inf)
-            ranks = np.repeat(id_ranks[None, :], len(over), axis=0)
-            # An over-cap row's first ``limit`` pairs are all kept ones.
-            first = np.lexsort((ranks, dist))[:, :limit]
-            keep[over] = False
-            keep[np.repeat(over, limit), first.ravel()] = True
-        subj, cand = keep.nonzero()
+        out[own, subject_self[own]] = True
+        subj, cand = _nearest(sq, out, id_ranks,
+                              self.config.max_entities).nonzero()
         return cand, subj
 
     def _indexed_nearest(self, points: np.ndarray,
@@ -316,9 +335,8 @@ class InterestManager:
                          query_cells: np.ndarray, subject_self: np.ndarray,
                          id_ranks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(cand, subj)`` of a large query, grouped by subject, through
-        the cell index: one dense broadcast per distinct subject cell
-        against its block, then the histogram selection."""
-        s = len(subject_points)
+        the cell index: one dense distance matrix per distinct subject
+        cell against its block, cut by :func:`_nearest` in place."""
         index, group, lo, block_counts = _cell_blocks(cells, query_cells)
         self.last_pairs_scanned = _block_pairs(group, block_counts)
         # Subjects sharing a cell share their candidate block: one
@@ -332,9 +350,9 @@ class InterestManager:
         qx, qy, qz = (np.ascontiguousarray(subject_points[:, a])
                       for a in range(3))
         sq_limit = self.sq_limit()
+        limit = self.config.max_entities
         cand_parts: List[np.ndarray] = []
         subj_parts: List[np.ndarray] = []
-        dist_parts: List[np.ndarray] = []
         for g in np.flatnonzero(sizes):
             sg = order[bounds[g]:bounds[g + 1]]
             block = blocks[block_bounds[g]:block_bounds[g + 1]]
@@ -342,78 +360,19 @@ class InterestManager:
             # million-element index gathers.
             sq = _pair_squared_distances(px[block], py[block], pz[block],
                                          qx[sg], qy[sg], qz[sg])
-            keep = (sq <= sq_limit) \
-                & (block[None, :] != subject_self[sg][:, None])
-            si, ci = np.nonzero(keep)
+            out = (sq > sq_limit) \
+                | (block[None, :] == subject_self[sg][:, None])
+            si, ci = np.nonzero(_nearest(sq, out, id_ranks[block], limit))
             cand_parts.append(block[ci])
             subj_parts.append(sg[si])
-            dist_parts.append(sq[si, ci])
         if not cand_parts:
             return _EMPTY_INDICES, _EMPTY_INDICES
         cand = np.concatenate(cand_parts)
         subj = np.concatenate(subj_parts)
-        dist = np.sqrt(np.concatenate(dist_parts))
-        cand, subj = self._select_nearest(cand, subj, dist, s, id_ranks)
         # Regroup by subject — the per-cell pass enumerates subjects out
         # of order.
         regroup = np.argsort(subj, kind="stable")
         return cand[regroup], subj[regroup]
-
-    def _select_nearest(
-        self,
-        cand: np.ndarray,
-        subj: np.ndarray,
-        dist: np.ndarray,
-        s: int,
-        id_ranks: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Exact per-subject top-``max_entities`` by ``(distance, id rank)``.
-
-        A global three-key lexsort dominates the batch pass at scale, so the
-        selection is done with a distance histogram instead: pairs are
-        bucketed by ``floor(dist / radius * B)`` (monotone in distance, so
-        equal distances share a bucket), every pair strictly below a
-        subject's threshold bucket is kept outright, and only the boundary
-        bucket — a tiny fraction of the pairs — is sorted by
-        ``(distance, id rank)`` to break ties exactly as
-        :func:`naive_relevant` does.  Within-subject output order is
-        selection order, not distance order; consumers treat each
-        subject's slice as a set.
-        """
-        limit = self.config.max_entities
-        counts = np.bincount(subj, minlength=s)
-        over = counts > limit
-        if not over.any():
-            return cand, subj
-        n_bins = 64
-        inv = n_bins / self.config.radius_m
-        bins = np.minimum((dist * inv).astype(np.int64), n_bins - 1)
-        hist = np.bincount(subj * n_bins + bins,
-                           minlength=s * n_bins).reshape(s, n_bins)
-        cum = np.cumsum(hist, axis=1)
-        # First bucket at which a subject reaches its cap; pairs in earlier
-        # buckets are all closer than any pair in or past it.
-        tbin = np.argmax(cum >= limit, axis=1)
-        before = np.where(
-            tbin > 0,
-            np.take_along_axis(
-                cum, np.maximum(tbin - 1, 0)[:, None], axis=1)[:, 0],
-            0)
-        need = limit - before
-        over_pair = over[subj]
-        sel = ~over_pair | (over_pair & (bins < tbin[subj]))
-        boundary = np.flatnonzero(over_pair & (bins == tbin[subj]))
-        if len(boundary):
-            b_subj = subj[boundary]
-            order = np.lexsort(
-                (id_ranks[cand[boundary]], dist[boundary], b_subj))
-            b_sorted = boundary[order]
-            bs = subj[b_sorted]
-            seg_counts = np.bincount(bs, minlength=s)
-            seg_starts = np.concatenate(([0], np.cumsum(seg_counts)[:-1]))
-            within = np.arange(len(bs)) - seg_starts[bs]
-            sel[b_sorted[within < need[bs]]] = True
-        return cand[sel], subj[sel]
 
     def pairs_scanned(self, points: np.ndarray,
                       subject_points: np.ndarray) -> int:

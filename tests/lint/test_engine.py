@@ -175,15 +175,11 @@ ARCH003_PRAGMAS = {
     ("repro.lint.engine", "lint_sources"): "lint API for in-memory sources",
     ("repro.obs.export", "report_json"):
         "pinned by tests/golden/mtp_report.json",
-    # queued top-level names
-    ("repro.net.faults", "JitterSpikeSchedule"): _QUEUED,
-    ("repro.net.faults", "SpikeWindow"): _QUEUED,
     # class members
     ("repro.adapt.controller", "AdaptationController.exposure_for"):
         "test observer of a client's mitigated exposure",
     ("repro.cloud.layout", "VRClassroomLayout.seated_count"):
         "test observer of seat assignment",
-    ("repro.cloud.scaling", "ShardPlanner.assign"): _QUEUED,
     ("repro.content.ledger", "ContentLedger.owner_of"):
         "test observer of token ownership",
     ("repro.content.ledger", "ContentLedger.token_for"):
@@ -202,7 +198,6 @@ ARCH003_PRAGMAS = {
         "analytic rate the typing Monte Carlo is checked against",
     ("repro.net.faults", "GilbertElliottLoss.stationary_bad"): _LOSS,
     ("repro.net.faults", "GilbertElliottLoss.expected_loss_rate"): _LOSS,
-    ("repro.net.faults", "FaultInjector.delay_spikes"): _QUEUED,
     ("repro.net.link", "Link.queued_bytes"): _QUEUE,
     ("repro.net.link", "Link.in_flight"): _QUEUE,
     ("repro.net.topology", "Topology.path_propagation_delay"): _PATH,

@@ -6,6 +6,7 @@ import pytest
 
 from repro.metrics import (
     DEFAULT_LATENCY_BUCKETS,
+    Counter,
     Histogram,
     MetricFamily,
     MetricsRegistry,
@@ -68,16 +69,16 @@ def test_default_buckets_resolve_the_interaction_budget():
 
 
 def test_family_enforces_label_schema():
-    family = MetricFamily("lat", ("stage",), Histogram, kind="histogram")
-    family.labels(stage="uplink").observe(0.01)
-    family.labels(stage="uplink").observe(0.02)
-    family.labels(stage="wan").observe(0.05)
+    family = MetricFamily("drops", ("stage",), Counter, kind="counter")
+    family.labels(stage="uplink").inc()
+    family.labels(stage="uplink").inc(2.0)
+    family.labels(stage="wan").inc()
     assert len(family) == 2
-    assert family.labels(stage="uplink").count == 2
+    assert family.labels(stage="uplink").value == 3.0
     with pytest.raises(ValueError):
         family.labels(wrong="x")
     with pytest.raises(ValueError):
-        MetricFamily("bad", (), Histogram)
+        MetricFamily("bad", (), Counter)
 
 
 def test_registry_families_and_collision_detection():

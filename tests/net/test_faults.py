@@ -9,9 +9,7 @@ from repro.net.faults import (
     FaultInjector,
     FaultLog,
     GilbertElliottLoss,
-    JitterSpikeSchedule,
     LinkOutageSchedule,
-    SpikeWindow,
 )
 from repro.net.link import Link
 from repro.net.packet import Packet
@@ -165,56 +163,11 @@ def test_gilbert_elliott_overrides_bernoulli_loss():
     assert len(delivered) == 50
 
 
-# -- latency / jitter spikes --------------------------------------------------
-
-
-def test_spike_window_validation():
-    with pytest.raises(ValueError):
-        SpikeWindow(2.0, 1.0, 0.1)
-    with pytest.raises(ValueError):
-        SpikeWindow(0.0, 1.0, -0.1)
-    with pytest.raises(ValueError):
-        JitterSpikeSchedule([SpikeWindow(0.0, 2.0, 0.1), SpikeWindow(1.0, 3.0, 0.1)])
-
-
-def test_latency_spike_window_adds_delay_only_inside_window():
-    sim = Simulator()
-    link = Link(sim, rate_bps=1e6, prop_delay=0.010)
-    JitterSpikeSchedule([SpikeWindow(1.0, 2.0, extra_delay=0.200)]).attach(link)
-    arrivals = {}
-
-    def probe(label, at):
-        sim.call_at(at, lambda: link.send(
-            make_packet(100), lambda p, a=at: arrivals.__setitem__(label, sim.now - a)
-        ))
-
-    probe("before", 0.5)
-    probe("inside", 1.5)
-    probe("after", 2.5)
-    sim.run()
-    base = 0.010 + 100 * 8 / 1e6
-    assert arrivals["before"] == pytest.approx(base)
-    assert arrivals["inside"] == pytest.approx(base + 0.200)
-    assert arrivals["after"] == pytest.approx(base)
-
-
-def test_random_spike_schedule_is_deterministic():
-    a = JitterSpikeSchedule.random(
-        np.random.default_rng(3), horizon=60.0, rate=0.2,
-        mean_duration=1.0, mean_extra_delay=0.1,
-    )
-    b = JitterSpikeSchedule.random(
-        np.random.default_rng(3), horizon=60.0, rate=0.2,
-        mean_duration=1.0, mean_extra_delay=0.1,
-    )
-    assert a.windows == b.windows
-
-
 # -- seeded replay property ----------------------------------------------------
 
 
 def _faulty_link_scenario(seed):
-    """A link under all three fault classes; returns a replay fingerprint."""
+    """A link under both link fault classes; returns a replay fingerprint."""
     sim = Simulator(seed=seed)
     link = Link(sim, rate_bps=1e6, prop_delay=0.005, jitter_std=0.001,
                 name="replay")
@@ -223,9 +176,6 @@ def _faulty_link_scenario(seed):
     injector.outage(link, LinkOutageSchedule.random(
         schedule_rng, horizon=20.0, mtbf=5.0, mean_duration=0.5))
     injector.burst_loss(link, GilbertElliottLoss(0.05, 0.3, loss_bad=0.9))
-    injector.delay_spikes(link, JitterSpikeSchedule.random(
-        schedule_rng, horizon=20.0, rate=0.3, mean_duration=0.5,
-        mean_extra_delay=0.05))
     arrivals = []
 
     payloads = iter(range(400))

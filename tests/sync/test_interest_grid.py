@@ -191,14 +191,54 @@ def _random_scenario(rng):
     return config, positions, subjects
 
 
+def _tie_edge_scenarios():
+    """Fixed inputs at the edges of the nearest-k cut, with ids whose
+    lexicographic order is not their insertion order.
+
+    The crowded one has every subject in one cell (side = radius = 10)
+    and cap 3.  Spectator ``s-over`` sits 0.25 from one entity and 0.5
+    from six tied ones, so the k-th distance splits the tie by id;
+    ``s-full`` has exactly three entities in range and ``s-few`` one,
+    both in the same cell as the over-cap rows; every entity is a
+    subject too, with its own entity in its block.  The small ones hold
+    no more entities than the cap, so a block is no larger than k."""
+    corner = np.array([1.0, 1.0, 1.0])
+    crowd = [corner + [0.25, 0.0, 0.0]] + [
+        corner + sign * 0.5 * axis for axis in np.eye(3) for sign in (1, -1)]
+    far = [np.array(p) for p in ((9.2, 9.0, 1.0), (9.0, 9.2, 1.0),
+                                 (9.0, 9.0, 1.2), (9.0, 1.0, 8.8))]
+    positions = {f"e{i}": p for i, p in enumerate(crowd + far, start=5)}
+    subjects = dict(positions, **{
+        "s-over": corner, "s-full": np.array([9.0, 9.0, 1.0]),
+        "s-few": np.array([9.0, 1.0, 9.0])})
+    # The crowded shapes, checked so that a changed number cannot lose
+    # them silently.
+    dist = {subject: sorted(d for entity, p in positions.items()
+                            if entity != subject
+                            and (d := np.linalg.norm(p - point)) <= 10.0)
+            for subject, point in subjects.items()}
+    assert len(dist["s-over"]) == 7 and dist["s-over"][2:4] == [0.5, 0.5]
+    assert len(dist["s-full"]) == 3 and len(dist["s-few"]) == 1
+    assert {tuple(np.floor(p / 10.0)) for p in subjects.values()} \
+        == {(0.0, 0.0, 0.0)}
+    small = {f"e{i}": np.array([float(i), 0.5, 0.5]) for i in (8, 9, 10)}
+    return [(InterestConfig(10.0, 3), positions, subjects),
+            (InterestConfig(10.0, 3), small,
+             dict(small, spectator=np.zeros(3))),
+            (InterestConfig(10.0, 5), small, small)]
+
+
 @pytest.mark.interest_equivalence
 def test_grid_matches_naive_across_randomized_scenarios():
-    """120 randomized scenarios; every subject's set must be identical."""
+    """120 randomized scenarios and the tie-edge inputs; every subject's
+    set must be identical."""
     for path in PATHS:
         with _on_path(path):
             rng = np.random.default_rng(20220707)
-            for scenario in range(120):
-                config, positions, subjects = _random_scenario(rng)
+            scenarios = [_random_scenario(rng) for _ in range(120)] \
+                + _tie_edge_scenarios()
+            for scenario, (config, positions, subjects) in enumerate(
+                    scenarios):
                 manager = InterestManager(config)
                 batch = manager.relevant_batch(positions, subjects)
                 assert set(batch) == set(subjects)
