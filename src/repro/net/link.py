@@ -53,10 +53,6 @@ class Link:
         When set, an object with ``packet_lost(rng) -> bool`` replaces the
         i.i.d. Bernoulli ``loss_rate`` draw — e.g. a Gilbert–Elliott burst
         state machine.
-    ``delay_model``
-        When set, an object with ``extra_delay(now) -> float`` and
-        ``extra_jitter_std(now) -> float`` adds a deterministic latency
-        penalty and widens the jitter during spike windows.
     ``up``
         Setting ``up = False`` mid-flight drops every queued and in-flight
         packet (counted in ``dropped_down``) and resets the transmitter, so
@@ -95,7 +91,6 @@ class Link:
         self._last_arrival = 0.0
         self._up = True
         self.loss_model = None
-        self.delay_model = None
 
     def serialization_delay(self, packet: Packet) -> float:
         return packet.size_bytes * 8.0 / self.rate_bps
@@ -187,19 +182,14 @@ class Link:
 
             self.sim.call_later(wait, _release)
 
-        extra_delay = 0.0
-        jitter_std = self.jitter_std
-        if self.delay_model is not None:
-            extra_delay = float(self.delay_model.extra_delay(now))
-            jitter_std = jitter_std + float(self.delay_model.extra_jitter_std(now))
         jitter = 0.0
-        if jitter_std > 0.0:
-            jitter = abs(float(self._rng.normal(0.0, jitter_std)))
+        if self.jitter_std > 0.0:
+            jitter = abs(float(self._rng.normal(0.0, self.jitter_std)))
         if self.loss_model is not None:
             lost = bool(self.loss_model.packet_lost(self._rng))
         else:
             lost = self.loss_rate > 0.0 and self._rng.random() < self.loss_rate
-        arrival = now + wait + serialization + self.prop_delay + extra_delay + jitter
+        arrival = now + wait + serialization + self.prop_delay + jitter
         if arrival < self._last_arrival:
             # FIFO contract: a lucky jitter draw must not overtake the
             # packet serialized before this one.

@@ -11,8 +11,9 @@ that keeps every client's view consistent:
 
 * each client's :class:`~repro.sync.protocol.ClientUpdate` routes to its
   *home* shard over its access link;
-* each source shard periodically fires one :class:`ShardRelay` round for
-  all its destinations: one interest query (the shards'
+* each source shard periodically fires its one :class:`ShardRelay` round
+  for all its destinations (a pair to a shard added mid-run joins the
+  source's round, on its phase): one interest query (the shards'
   :class:`~repro.sync.interest.InterestManager` policy) and one
   :class:`~repro.sync.delta.BatchDeltaEncoder` pass with a row per
   destination give each destination a **delta stream** of the
@@ -55,7 +56,7 @@ report then shows shard-relay latency as its own budget line.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, groupby
+from itertools import accumulate
 from typing import (
     Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
 )
@@ -148,7 +149,7 @@ class RelayPair:
 
 @dataclass(eq=False)
 class ShardRelay:
-    """One relay round: a source shard and the destinations armed with it.
+    """A source shard's one relay round over all its destinations.
 
     A firing does the source-side work once for all its ``pairs`` (one
     local SoA gather, one subscriber digest, one interest query, one
@@ -357,8 +358,9 @@ class ShardedSyncService:
             site: BatchDeltaEncoder() for site in plan.sites
         }
         self.relay_interest = InterestManager(self.interest_config)
-        #: The armed relay rounds; decommissioning a site drops its pairs.
-        self.rounds: List[ShardRelay] = []
+        #: Each shard's one relay round, armed by start() or add_site; a
+        #: round stops once it is no longer its source's entry here.
+        self.rounds: Dict[str, ShardRelay] = {}
         self._access_links: Dict[Tuple[str, str, str], Link] = {}
         #: Latest span context per traced entity (obs enabled only).
         self._traced: Dict[str, Any] = {}
@@ -529,12 +531,12 @@ class ShardedSyncService:
         """Provision a new shard at ``site`` and federate it.
 
         The shard gets a fresh (never reused) owner code, bidirectional
-        relays to every existing shard, and — when the service is inside
-        a :meth:`start` window — its tick process and relay rounds armed
-        for the remaining horizon (one round for its own outgoing pairs,
-        one per existing source for its pair to the newcomer), so a shard
-        provisioned mid-run participates immediately and winds down with
-        the rest of the fleet.  No users are moved; route them with
+        relays to every existing shard, and — inside a :meth:`start`
+        window — its tick process and relay round armed for the remaining
+        horizon (the round on the add instant's phase), while each
+        existing source's pair to it joins that source's live round.  So
+        a shard provisioned mid-run participates at once and winds down
+        with the rest of the fleet.  No users are moved; route them with
         :meth:`move_user` or admission-time placement.
         """
         if site in self.shards:
@@ -554,23 +556,17 @@ class ShardedSyncService:
         self.relay_encoders[site] = BatchDeltaEncoder()
         if site not in self.plan.sites:
             self.plan.sites.append(site)
-        outgoing: List[RelayPair] = []
-        incoming: List[RelayPair] = []
         for other in self.shards:
-            if other == site:
-                continue
-            for src, dst, pairs in ((site, other, outgoing),
-                                    (other, site, incoming)):
-                pairs.append(self._make_relay(src, dst))
-                self.relays[(src, dst)] = pairs[-1]
+            if other != site:
+                for src, dst in ((site, other), (other, site)):
+                    self.relays[(src, dst)] = self._make_relay(src, dst)
         if self._run_until is not None and \
                 self.sim.now < self._run_until - 1e-12:
             remaining = self._run_until - self.sim.now
             shard.run(duration=remaining)
-            # Rounds armed at different instants are never merged: their
-            # fire times drift apart by ulps.
-            for pairs in [outgoing] + [[pair] for pair in incoming]:
-                self._relay_process(pairs, remaining)
+            for src, relay in self.rounds.items():
+                relay.pairs = self._outgoing(src)
+            self._relay_process(site, remaining)
         self.metrics.incr("sites_provisioned")
         return shard
 
@@ -605,10 +601,9 @@ class ShardedSyncService:
                 self.plan.assignment[user_id] = self.home[user_id]
         self.relays = {key: pair for key, pair in self.relays.items()
                        if site not in key}
-        for relay in self.rounds:
-            relay.pairs = [pair for pair in relay.pairs
-                           if site not in (pair.src_site, pair.dst_site)]
-        self.rounds = [relay for relay in self.rounds if relay.pairs]
+        self.rounds.pop(site, None)
+        for src, relay in self.rounds.items():
+            relay.pairs = self._outgoing(src)
         del self.relay_encoders[site]
         for encoder in self.relay_encoders.values():
             encoder.forget(site)
@@ -786,33 +781,37 @@ class ShardedSyncService:
         self.metrics.incr("shard_deltas_delivered")
         self.metrics.incr("shard_states_applied", len(delta.states))
 
-    def _relay_process(self, pairs: List[RelayPair], duration: float):
-        """Arm one relay round over ``pairs`` (one source) for ``duration``."""
-        relay = ShardRelay(self, pairs[0].src_site, pairs)
-        self.rounds.append(relay)
+    def _outgoing(self, src: str) -> List[RelayPair]:
+        """``src``'s relay pairs in ``(src, dst)`` order: its round's pairs."""
+        return [pair for key, pair in sorted(self.relays.items())
+                if key[0] == src]
+
+    def _relay_process(self, src: str, duration: float):
+        """Arm ``src``'s relay round for ``duration``; it ends early once
+        it is no longer ``src``'s live round."""
+        relay = self.rounds[src] = ShardRelay(self, src, self._outgoing(src))
 
         def step():
-            if not relay.pairs:
-                return None  # every destination decommissioned mid-run
-            relay.fire()
+            if self.rounds.get(src) is not relay:
+                return None  # decommissioned, or re-armed by a later start()
+            if relay.pairs:  # a lone shard's round idles until a peer joins
+                relay.fire()
             return self.relay_period
 
         return self.sim.every(duration, step)
 
     def start(self, duration: float) -> list:
-        """Arm every shard's tick loop and one relay round per source
-        shard, covering all its pairs in sorted order, for ``duration``."""
+        """Arm every shard's tick loop and its one relay round, over all
+        its outgoing pairs, for ``duration``; :meth:`add_site` extends
+        them to a shard added inside the window."""
         if duration <= 0:
             raise ValueError("duration must be positive")
         self._run_until = self.sim.now + duration
         processes = [
             shard.run(duration=duration) for shard in self.shards.values()
         ]
-        for _src, items in groupby(sorted(self.relays.items()),
-                                   key=lambda item: item[0][0]):
-            processes.append(self._relay_process(
-                [pair for _key, pair in items], duration))
-        return processes
+        return processes + [self._relay_process(src, duration)
+                            for src in sorted(self.shards)]
 
     # -- measurement ----------------------------------------------------------
 

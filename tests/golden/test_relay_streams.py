@@ -8,6 +8,11 @@ seq, sorted state ids, removed ids, keyframe flag, state bytes]``;
 ``relay_streams.json`` pins, per pair, the record count and the digest
 of the record list.  A change to when a relay fires, what it forwards
 or how it delta-encodes shows up here as a named pair.
+
+The newcomer's own round fires on its add instant's phase, while each
+``*->s4`` pair joins its source's round and fires on the source's grid,
+from the first firing after the add; the old pairs never move when a
+shard joins.
 """
 
 import json

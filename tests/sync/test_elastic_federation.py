@@ -187,7 +187,7 @@ def _lone_every(sim, duration, period):
     return instants
 
 
-def test_mid_run_add_site_arms_its_own_rounds_on_its_own_phase(monkeypatch):
+def test_mid_run_add_site_joins_each_sources_live_round(monkeypatch):
     duration, added_at = 2.0, 0.73
     sim = Simulator(seed=8)
     service, users = _service(sim, 3, ["s0", "s1", "s2"])
@@ -206,25 +206,35 @@ def test_mid_run_add_site_arms_its_own_rounds_on_its_own_phase(monkeypatch):
     sim.call_at(added_at, grow)
     sim.run()
 
-    rounds = {}
+    # One round per source: the newcomer's outgoing pairs are a round of
+    # their own, and each old source's pair to it joined that source's
+    # start() round in sorted order.
+    sites = ["s0", "s1", "s2", "s3"]
+    assert sorted(service.rounds) == sites
+    assert {src: [(p.src_site, p.dst_site) for p in relay.pairs]
+            for src, relay in service.rounds.items()} == {
+        src: [(src, dst) for dst in sites if dst != src] for src in sites}
+    instants = {}
     for now, keys, _sent in fired:
-        rounds.setdefault(keys, []).append(now)
-    # The start() rounds: one per source, all its pairs in sorted order.
-    # add_site: one round for the newcomer's outgoing pairs, and each old
-    # source's pair to it is a round of its own.
-    assert sorted(rounds) == sorted([
-        (("s0", "s1"), ("s0", "s2")),
-        (("s1", "s0"), ("s1", "s2")),
-        (("s2", "s0"), ("s2", "s1")),
-        (("s3", "s0"), ("s3", "s1"), ("s3", "s2")),
-        (("s0", "s3"),), (("s1", "s3"),), (("s2", "s3"),),
-    ])
-    # Every pair fires at the bit-identical instants of a lone periodic
-    # process armed when the pair was.
-    for keys, instants in rounds.items():
-        expected = lone["add"] if "s3" in keys[0] else start_instants
-        assert instants == expected, keys
+        src = keys[0][0]
+        instants.setdefault(src, []).append(now)
+        assert all(key[0] == src for key in keys)
+        old = tuple((src, dst) for dst in sites[:3] if dst != src)
+        if src == "s3":
+            assert keys == (("s3", "s0"), ("s3", "s1"), ("s3", "s2"))
+        else:
+            assert keys == (old if now < added_at
+                            else tuple(sorted(old + ((src, "s3"),))))
+    # Old sources keep the bit-identical instants of a lone periodic
+    # process armed at start(), so their pairs to s3 fire on that phase
+    # from the first firing after the add; s3 fires on the add's phase.
+    for src in sites[:3]:
+        assert instants[src] == start_instants, src
+    assert instants["s3"] == lone["add"]
     assert lone["add"][0] == added_at and len(lone["add"]) > 20
+    assert any(now > added_at and ("s0", "s3") in sent
+               for now, _keys, sent in fired)
+    assert all(sent == sorted(sent) for _now, _keys, sent in fired)
 
 
 def test_add_site_before_start_joins_its_sources_rounds(monkeypatch):
@@ -243,25 +253,25 @@ def test_add_site_before_start_joins_its_sources_rounds(monkeypatch):
     ]
     assert sorted({keys for _now, keys, _sent in fired}) == expected
     assert [tuple((pair.src_site, pair.dst_site) for pair in relay.pairs)
-            for relay in service.rounds] == expected
+            for relay in service.rounds.values()] == expected
     # A round sends in its pairs' sorted order, as per-pair relays fired.
     assert all(sent == sorted(sent) for _now, _keys, sent in fired)
     assert any(len(sent) == 2 for _now, _keys, sent in fired)
 
 
 def test_add_drain_cycles_keep_relay_state_bounded():
-    duration = 6.0
+    duration, second = 6.0, 2.0
     sim = Simulator(seed=10)
     service, users = _service(sim, 4, ["s0", "s1"])
     for user in users:
-        _attach(sim, service, user, duration)
+        _attach(sim, service, user, duration + second)
     service.start(duration)
     checks = []
 
     def check(gone):
         live = set(service.shards)
         assert gone not in service.relay_encoders
-        for relay in service.rounds:
+        for relay in service.rounds.values():
             assert relay.pairs
             for pair in relay.pairs:
                 assert {pair.src_site, pair.dst_site} <= live
@@ -270,21 +280,37 @@ def test_add_drain_cycles_keep_relay_state_bounded():
             # outnumber the source's live destinations.
             assert set(encoder._row_of) <= live - {src}
             assert len(encoder._row_of) <= len(live) - 1
-        checks.append(len(service.rounds))
+        checks.append((len(service.rounds), len(service.shards)))
 
-    for cycle in range(4):
-        site = f"x{cycle}"
+    def grow(site, user):
+        service.add_site(site)
+        service.move_user(user, site)
+        checks.append((len(service.rounds), len(service.shards)))
 
-        def grow(site=site, user=users[cycle]):
-            service.add_site(site)
-            service.move_user(user, site)
+    def drain(site):
+        # Both directions fired while the site lived: its pairs joined
+        # live rounds, never ones left over from a finished window.
+        stats = service.relay_stats()
+        assert stats[f"s0->{site}"]["deltas_sent"] > 0
+        assert stats[f"{site}->s0"]["deltas_sent"] > 0
+        service.drain_site(site)
+        check(site)
 
-        sim.call_at(0.5 + cycle, grow)
-        sim.call_at(1.0 + cycle,
-                    lambda site=site: (service.drain_site(site), check(site)))
+    def cycles(first, count):
+        for cycle in range(first, first + count):
+            site, at = f"x{cycle}", sim.now + 0.5 + cycle - first
+            sim.call_at(at, lambda site=site, user=users[cycle % 4]:
+                        grow(site, user))
+            sim.call_at(at + 0.5, lambda site=site: drain(site))
+
+    cycles(0, 4)
     sim.run()
-    # Each cycle's rounds went with its site: back to one per source.
-    assert checks == [2, 2, 2, 2]
+    # A second window re-arms every source; adds join its rounds.
+    service.start(second)
+    cycles(4, 1)
+    sim.run()
+    # Each cycle's round went with its site: one round per source.
+    assert checks == [(3, 3), (2, 2)] * 5
     stats = service.relay_stats()
     assert sorted(stats) == ["s0->s1", "s1->s0"]
     assert all(s["deltas_sent"] > 0 for s in stats.values())
@@ -304,4 +330,4 @@ def test_round_with_every_pair_stopped_ends_its_process():
     assert not rounds["s2"].is_alive
     assert rounds["s0"].is_alive and rounds["s1"].is_alive
     assert [[(p.src_site, p.dst_site) for p in relay.pairs]
-            for relay in service.rounds] == [[("s0", "s1")], [("s1", "s0")]]
+            for relay in service.rounds.values()] == [[("s0", "s1")], [("s1", "s0")]]
